@@ -6,13 +6,16 @@ world-generation feature, a crawler behaviour change, a fixed analysis bug).
 Commit the regenerated JSON together with the change so reviewers see the
 numeric drift explicitly.
 
-    PYTHONPATH=src python examples/regen_goldens.py
+    PYTHONPATH=src python examples/regen_goldens.py              # every golden
+    PYTHONPATH=src python examples/regen_goldens.py trackerless  # one golden
 
-Each golden pins one small campaign: the scenario name, seed, and top-k,
-plus every headline statistic (identification coverage/precision, coverage,
-session error, mapping and publisher-class shares) and the Table-1 counts.
-``tests/test_golden_campaign.py`` recomputes them and fails with a readable
-per-metric diff on any drift.
+Each golden pins one small campaign: the scenario name, seed, top-k and any
+window override, plus every headline statistic (identification
+coverage/precision, coverage, session error, mapping and publisher-class
+shares) and the Table-1 counts.  DHT campaigns also pin their ``dht.*``
+sim-domain instruments.  The campaigns and payloads are defined in
+``tests/golden_campaigns.py``; ``tests/test_golden_campaign.py`` recomputes
+them and fails with a readable per-metric diff on any drift.
 """
 
 import json
@@ -21,42 +24,32 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))
 
-from repro.campaign import headline_stats  # noqa: E402
-from repro.core.collector import run_measurement_with_world  # noqa: E402
-from repro.simulation import tiny_scenario  # noqa: E402
-
-GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
-
-# Keep in sync with tests/conftest.py: the golden campaign IS the session
-# fixture campaign, so the regression test costs no extra crawl.
-GOLDEN_SCENARIO = "tiny"
-GOLDEN_SEED = 7
-GOLDEN_TOP_K = 20
+from tests.golden_campaigns import (  # noqa: E402
+    GOLDENS,
+    golden_payload,
+    run_golden_campaign,
+)
 
 
-def build_golden() -> dict:
-    dataset, world = run_measurement_with_world(
-        tiny_scenario(), seed=GOLDEN_SEED
-    )
-    return {
-        "scenario": GOLDEN_SCENARIO,
-        "seed": GOLDEN_SEED,
-        "top_k": GOLDEN_TOP_K,
-        "headline": headline_stats(dataset, world, top_k=GOLDEN_TOP_K),
-        "summary": dataset.summary_dict(),
-    }
-
-
-def main() -> None:
-    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    path = GOLDEN_DIR / f"{GOLDEN_SCENARIO}_seed{GOLDEN_SEED}.json"
-    payload = build_golden()
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {path} ({len(payload['headline'])} headline metrics)")
+def main(names) -> None:
+    unknown = sorted(set(names) - set(GOLDENS))
+    if unknown:
+        raise SystemExit(
+            f"unknown golden(s) {', '.join(unknown)}; "
+            f"valid: {', '.join(sorted(GOLDENS))}"
+        )
+    for name in names or sorted(GOLDENS):
+        spec = GOLDENS[name]
+        spec.path.parent.mkdir(parents=True, exist_ok=True)
+        dataset, world = run_golden_campaign(spec)
+        payload = golden_payload(spec, dataset, world)
+        with open(spec.path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"wrote {spec.path} ({len(payload['headline'])} headline metrics)")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -1,24 +1,29 @@
-"""Golden-dataset regression: the pinned-seed campaign's headline stats.
+"""Golden-dataset regression: the pinned-seed campaigns' headline stats.
 
-The golden file (tests/golden/tiny_seed7.json, written by
-``examples/regen_goldens.py``) pins every headline statistic of the tiny
-seed-7 campaign -- the same campaign the session-scoped ``tiny_run`` fixture
-builds, so this harness costs no extra crawl.  Any unintentional drift in
-world generation, the crawler, identification, session reconstruction or
-the analysis pipeline fails here with a per-metric diff; intentional drift
-is recorded by re-running the regeneration script and committing the new
-golden alongside the change.
+The golden files (tests/golden/<scenario>_seed7.json, written by
+``examples/regen_goldens.py`` from the specs in ``golden_campaigns.py``)
+pin every headline statistic of one small campaign per discovery channel:
+
+- ``tiny`` (tracker): the same campaign the session-scoped ``tiny_run``
+  fixture builds, so it costs no extra crawl;
+- ``trackerless`` (magnet + DHT, short window): also pins the run's
+  ``dht.*`` instruments, so every KRPC message and lookup hop is counted.
+
+Any unintentional drift in world generation, the crawlers, the DHT,
+identification, session reconstruction or the analysis pipeline fails here
+with a per-metric diff; intentional drift is recorded by re-running the
+regeneration script and committing the new golden alongside the change.
 """
 
 import json
 import math
-from pathlib import Path
 
 import pytest
 
 from repro.campaign import headline_stats
+from tests.golden_campaigns import GOLDENS, golden_payload, run_golden_campaign
 
-GOLDEN_PATH = Path(__file__).parent / "golden" / "tiny_seed7.json"
+GOLDEN_PATH = GOLDENS["tiny"].path
 
 # Tight but not bit-exact: every value is a deterministic float computation,
 # the tolerance only forgives last-ulp differences across platforms.
@@ -55,6 +60,22 @@ def _diff_lines(expected: dict, actual: dict, label: str) -> list:
     return lines
 
 
+def _assert_matches_golden(golden: dict, payload: dict) -> None:
+    diff = []
+    for section in ("headline", "summary", "dht"):
+        if section in golden or section in payload:
+            diff += _diff_lines(
+                golden.get(section, {}), payload.get(section, {}), section
+            )
+    if diff:
+        pytest.fail(
+            "golden campaign drifted "
+            f"({len(diff)} metrics; regen with "
+            "`python examples/regen_goldens.py` if intentional):\n"
+            + "\n".join(diff)
+        )
+
+
 class TestGoldenCampaign:
     def test_fixture_matches_golden_pin(self, golden):
         """Guard the pin itself: conftest and the golden must agree."""
@@ -67,15 +88,9 @@ class TestGoldenCampaign:
     def test_headline_stats_match_golden(self, golden, tiny_run):
         dataset, world = tiny_run
         actual = headline_stats(dataset, world, top_k=golden["top_k"])
-        diff = _diff_lines(golden["headline"], actual, "headline")
-        diff += _diff_lines(golden["summary"], dataset.summary_dict(), "summary")
-        if diff:
-            pytest.fail(
-                "golden campaign drifted "
-                f"({len(diff)} metrics; regen with "
-                "`python examples/regen_goldens.py` if intentional):\n"
-                + "\n".join(diff)
-            )
+        _assert_matches_golden(
+            golden, {"headline": actual, "summary": dataset.summary_dict()}
+        )
 
     def test_golden_covers_every_headline_family(self, golden):
         """The golden must keep covering all headline stat families; a key
@@ -89,3 +104,36 @@ class TestGoldenCampaign:
             "mapping",
             "classes",
         } <= families
+
+
+class TestTrackerlessGolden:
+    SPEC = GOLDENS["trackerless"]
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        with open(self.SPEC.path, encoding="utf-8") as handle:
+            return json.load(handle)
+
+    def test_spec_matches_golden_pin(self, golden):
+        spec = self.SPEC
+        assert golden["scenario"] == spec.scenario
+        assert golden["seed"] == spec.seed
+        assert golden["top_k"] == spec.top_k
+        assert golden["window_days"] == spec.window_days
+        assert golden["post_window_days"] == spec.post_window_days
+
+    def test_campaign_matches_golden(self, golden):
+        dataset, world = run_golden_campaign(self.SPEC)
+        _assert_matches_golden(
+            golden, golden_payload(self.SPEC, dataset, world)
+        )
+
+    def test_golden_pins_the_dht_wire_path(self, golden):
+        """The DHT counts must stay pinned and non-trivial: lookups ran,
+        messages were delivered, and peers came back."""
+        dht = golden["dht"]
+        assert dht["dht.lookup_queries"] > 0
+        assert dht["dht.messages[outcome=delivered]"] > 0
+        assert dht["dht.lookup_peers.sum"] > 0
+        assert golden["headline"]["discovery.dht_coverage"] > 0
+        assert golden["headline"]["discovery.tracker_coverage"] == 0
