@@ -26,7 +26,9 @@ round-trips through it -- so the implementation is tuned:
   ``bytes``/``bytearray``/``memoryview`` without copying the input buffer;
 - :func:`bencode` takes a fast path through dictionaries whose keys are
   already sorted ``bytes`` (the shape every canonical producer in this
-  codebase emits), skipping the str-key normalisation dict entirely.
+  codebase emits), skipping the str-key normalisation dict entirely; in
+  that path and in lists, ``bytes`` and exact-``int`` items are emitted
+  inline instead of through a recursive call.
 
 :mod:`repro.bencode.reference` retains the original recursive codec, and
 property tests assert the two agree on every value and on every malformed
@@ -68,7 +70,15 @@ def _encode(value: Encodable, out: List[bytes]) -> None:
     elif isinstance(value, (list, tuple)):
         out.append(b"l")
         for item in value:
-            _encode(item, out)
+            # Scalars inline (bool's class is not int, so it still raises).
+            cls = item.__class__
+            if cls is bytes:
+                out.append(b"%d:" % len(item))
+                out.append(item)
+            elif cls is int:
+                out.append(b"i%de" % item)
+            else:
+                _encode(item, out)
         out.append(b"e")
     elif isinstance(value, dict):
         # Fast path: keys already canonical (plain bytes, strictly
@@ -86,7 +96,14 @@ def _encode(value: Encodable, out: List[bytes]) -> None:
         for key, item in value.items():
             out.append(b"%d:" % len(key))
             out.append(key)
-            _encode(item, out)
+            cls = item.__class__
+            if cls is bytes:
+                out.append(b"%d:" % len(item))
+                out.append(item)
+            elif cls is int:
+                out.append(b"i%de" % item)
+            else:
+                _encode(item, out)
         out.append(b"e")
     else:
         raise BencodeError(f"cannot bencode {type(value).__name__}")

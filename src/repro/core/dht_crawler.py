@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.dht import (
@@ -110,6 +111,7 @@ class DhtCrawler:
         self.rng = rng
         self.client_ip = client_ip
         self.client_id = derive_node_id("repro-dht-crawler", client_ip)
+        self._client_id_bytes = node_id_to_bytes(self.client_id)
         self.stats = DhtCrawlerStats()
         self.metrics = metrics if metrics is not None else get_default_registry()
         self._m_lookups = self.metrics.counter("dht.lookups")
@@ -197,18 +199,23 @@ class DhtCrawler:
         alpha: int,
     ) -> List[_Candidate]:
         """The next ``alpha`` nodes worth querying, or [] at convergence."""
-        unqueried = [c for c in candidates.values() if not c.queried]
+        unqueried: List[Tuple[int, _Candidate]] = []
+        responded: List[int] = []
+        for c in candidates.values():
+            distance = c.distance_to(target)
+            if not c.queried:
+                unqueried.append((distance, c))
+            if c.responded:
+                responded.append(distance)
         if not unqueried:
             return []
-        responded = sorted(
-            (c for c in candidates.values() if c.responded),
-            key=lambda c: c.distance_to(target),
-        )
-        unqueried.sort(key=lambda c: c.distance_to(target))
+        # Stable sort on the distance alone: ties keep insertion order.
+        unqueried.sort(key=itemgetter(0))
         if len(responded) >= k:
-            threshold = responded[k - 1].distance_to(target)
-            unqueried = [c for c in unqueried if c.distance_to(target) < threshold]
-        return unqueried[:alpha]
+            responded.sort()
+            threshold = responded[k - 1]
+            unqueried = [entry for entry in unqueried if entry[0] < threshold]
+        return [c for _distance, c in unqueried[:alpha]]
 
     def _query_one(
         self,
@@ -221,7 +228,7 @@ class DhtCrawler:
         query = encode_query(
             self._next_tid(),
             "get_peers",
-            {"id": node_id_to_bytes(self.client_id), "info_hash": infohash},
+            {b"id": self._client_id_bytes, b"info_hash": infohash},
         )
         self.stats.queries_sent += 1
         self._m_queries.inc()

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Union
 
 from repro.bencode import BencodeError, bdecode, bencode
 
@@ -34,6 +34,8 @@ ERROR_PROTOCOL = 203
 ERROR_UNKNOWN_METHOD = 204
 
 KNOWN_METHODS = ("ping", "find_node", "get_peers", "announce_peer")
+
+Key = Union[str, bytes]
 
 
 class KrpcError(ValueError):
@@ -73,20 +75,25 @@ class KrpcErrorMessage:
     message: str
 
 
-def encode_query(tid: bytes, method: str, args: Dict[str, object]) -> bytes:
+# The envelopes below are keyed by canonical (sorted) bytes, so bencode's
+# fast path encodes them without normalising keys.  Payloads may be keyed
+# by str or bytes; handlers on the hot path pass sorted bytes keys too.
+def encode_query(tid: bytes, method: str, args: Dict[Key, object]) -> bytes:
     """Encode one KRPC query."""
     if not isinstance(tid, bytes) or not tid:
         raise KrpcError("transaction id must be non-empty bytes")
     if method not in KNOWN_METHODS:
         raise KrpcError(f"unknown KRPC method {method!r}")
-    return bencode({"t": tid, "y": "q", "q": method, "a": dict(args)})
+    return bencode(
+        {b"a": dict(args), b"q": method.encode(), b"t": tid, b"y": b"q"}
+    )
 
 
-def encode_response(tid: bytes, values: Dict[str, object]) -> bytes:
+def encode_response(tid: bytes, values: Dict[Key, object]) -> bytes:
     """Encode one KRPC response."""
     if not isinstance(tid, bytes) or not tid:
         raise KrpcError("transaction id must be non-empty bytes")
-    return bencode({"t": tid, "y": "r", "r": dict(values)})
+    return bencode({b"r": dict(values), b"t": tid, b"y": b"r"})
 
 
 def encode_error(tid: bytes, code: int, message: str) -> bytes:
@@ -100,7 +107,7 @@ def encode_error(tid: bytes, code: int, message: str) -> bytes:
         ERROR_UNKNOWN_METHOD,
     ):
         raise KrpcError(f"unknown KRPC error code {code}")
-    return bencode({"t": tid, "y": "e", "e": [code, message]})
+    return bencode({b"e": [code, message], b"t": tid, b"y": b"e"})
 
 
 def decode_message(raw: bytes):

@@ -18,7 +18,8 @@ exposes two planes:
 Announce placement uses the *global* closest-nodes view, matching what a
 well-behaved peer converges to via iterative lookup; crawler lookups, by
 contrast, go through real per-node routing tables and KRPC messages, so
-lookup hops and coverage remain emergent properties.
+lookup hops and coverage remain emergent properties.  The fleet is fixed
+once built, so each infohash's placement is computed once and memoised.
 """
 
 from __future__ import annotations
@@ -80,6 +81,13 @@ class DhtNetwork:
         self._rng = rng
         self.metrics = metrics if metrics is not None else get_default_registry()
         self.metrics.gauge("dht.nodes").set(len(nodes))
+        self._m_stored = self.metrics.counter("dht.announces_stored")
+        messages = self.metrics.counter("dht.messages")
+        self._m_unroutable = messages.labels(outcome="unroutable")
+        self._m_lost = messages.labels(outcome="lost")
+        self._m_delivered = messages.labels(outcome="delivered")
+        # infohash -> the nodes that store its announces (see announce_session).
+        self._placement: Dict[bytes, List[DhtNode]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -155,13 +163,16 @@ class DhtNetwork:
     ) -> int:
         """Install one peer session's announce interval on the responsible
         nodes.  Returns how many nodes stored it."""
-        target = int.from_bytes(infohash, "big")
-        responsible = self.closest_nodes(target, self.config.k)
+        responsible = self._placement.get(infohash)
+        if responsible is None:
+            responsible = self._placement[infohash] = self.closest_nodes(
+                int.from_bytes(infohash, "big"), self.config.k
+            )
         for node in responsible:
             node.store_announce(
                 infohash, ip=ip, port=port, start=start, end=end, seed_from=seed_from
             )
-        self.metrics.counter("dht.announces_stored").inc(len(responsible))
+        self._m_stored.inc(len(responsible))
         return len(responsible)
 
     # ------------------------------------------------------------------
@@ -174,10 +185,10 @@ class DhtNetwork:
         packet (unknown address, or seed-deterministic loss)."""
         node = self._by_ip.get(dest_ip)
         if node is None:
-            self.metrics.counter("dht.messages").inc(outcome="unroutable")
+            self._m_unroutable.inc()
             return None
         if self.config.message_loss and self._rng.random() < self.config.message_loss:
-            self.metrics.counter("dht.messages").inc(outcome="lost")
+            self._m_lost.inc()
             return None
-        self.metrics.counter("dht.messages").inc(outcome="delivered")
+        self._m_delivered.inc()
         return node.handle_query(raw, sender_ip, sender_port, now)

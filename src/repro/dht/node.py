@@ -90,9 +90,14 @@ class DhtNode:
         self.announce_ttl = announce_ttl
         self.max_values = max_values
         self.table = RoutingTable(node_id, k=k, stale_after=stale_after)
-        self._token_secret = token_secret or node_id_to_bytes(node_id)[:8]
+        self._id_bytes = node_id_to_bytes(node_id)
+        self._token_secret = token_secret or self._id_bytes[:8]
         self._rng = rng if rng is not None else random.Random(node_id & 0xFFFFFFFF)
         self._store: Dict[bytes, List[StoredPeer]] = {}
+        # Packed closest-node blobs per target, valid for one membership
+        # version of the routing table (see _compact_closest).
+        self._closest_blobs: Dict[int, bytes] = {}
+        self._closest_version = self.table.version
 
     # ------------------------------------------------------------------
     # Peer store
@@ -116,8 +121,8 @@ class DhtNode:
         )
 
     def peers_for(self, infohash: bytes, now: float) -> List[StoredPeer]:
-        """All announces active at ``now`` (unsampled)."""
-        return [p for p in self._store.get(infohash, ()) if p.active_at(now)]
+        """All announces active at ``now`` (unsampled), in store order."""
+        return [p for p in self._store.get(infohash, ()) if p.start <= now < p.end]
 
     def stored_intervals(self, infohash: bytes) -> int:
         return len(self._store.get(infohash, ()))
@@ -158,70 +163,84 @@ class DhtNode:
             ),
             now,
         )
-        handler = {
-            "ping": self._handle_ping,
-            "find_node": self._handle_find_node,
-            "get_peers": self._handle_get_peers,
-            "announce_peer": self._handle_announce_peer,
-        }.get(message.method)
+        handler = _HANDLERS.get(message.method)
         if handler is None:
             return encode_error(
                 message.tid, ERROR_UNKNOWN_METHOD, f"unknown method {message.method}"
             )
         try:
-            return handler(message, sender_ip, sender_port, now)
+            return handler(self, message, sender_ip, sender_port, now)
         except KrpcError as exc:
             return encode_error(message.tid, ERROR_PROTOCOL, str(exc))
 
     # -- individual methods --------------------------------------------
-    def _id_payload(self) -> Dict[str, object]:
-        return {"id": node_id_to_bytes(self.node_id)}
-
+    # Payloads are keyed by bytes in sorted order (id, nodes, peers, seeds,
+    # token, values), the canonical shape bencode encodes without sorting.
     def _handle_ping(
         self, query: KrpcQuery, sender_ip: int, sender_port: int, now: float
     ) -> bytes:
-        return encode_response(query.tid, self._id_payload())
+        return encode_response(query.tid, {b"id": self._id_bytes})
 
     def _compact_closest(self, target: int) -> bytes:
-        return pack_compact_nodes(
-            [
-                (node_id_to_bytes(c.node_id), c.ip, c.port)
-                for c in self.table.closest(target)
-            ]
-        )
+        """Compact node info of the table's closest contacts to ``target``.
+
+        Memoised per target; the memo is dropped whenever the routing
+        table's membership version moves, so it never serves a blob the
+        current table would not produce.
+        """
+        if self._closest_version != self.table.version:
+            self._closest_blobs.clear()
+            self._closest_version = self.table.version
+        blob = self._closest_blobs.get(target)
+        if blob is None:
+            blob = self._closest_blobs[target] = pack_compact_nodes(
+                [
+                    (node_id_to_bytes(c.node_id), c.ip, c.port)
+                    for c in self.table.closest(target)
+                ]
+            )
+        return blob
 
     def _handle_find_node(
         self, query: KrpcQuery, sender_ip: int, sender_port: int, now: float
     ) -> bytes:
         target = query.args.get(b"target")
         target_id = node_id_from_bytes(node_id_to_bytes_or_raise(target, "target"))
-        payload = self._id_payload()
-        payload["nodes"] = self._compact_closest(target_id)
-        return encode_response(query.tid, payload)
+        return encode_response(
+            query.tid,
+            {b"id": self._id_bytes, b"nodes": self._compact_closest(target_id)},
+        )
 
     def _handle_get_peers(
         self, query: KrpcQuery, sender_ip: int, sender_port: int, now: float
     ) -> bytes:
         infohash = query.args.get(b"info_hash")
         infohash = node_id_to_bytes_or_raise(infohash, "info_hash")
-        payload = self._id_payload()
-        payload["token"] = self.token_for(sender_ip)
+        token = self.token_for(sender_ip)
         # Closer nodes ride along even when values exist, as most live
         # implementations do -- it keeps iterative lookups converging.
-        payload["nodes"] = self._compact_closest(node_id_from_bytes(infohash))
+        nodes = self._compact_closest(node_id_from_bytes(infohash))
         active = self.peers_for(infohash, now)
-        if active:
-            seeds = sum(1 for p in active if p.is_seed_at(now))
-            if len(active) > self.max_values:
-                sample = self._rng.sample(active, self.max_values)
-            else:
-                sample = active
-            payload["values"] = [
-                pack_compact_peer(p.ip, p.port) for p in sample
-            ]
-            payload["seeds"] = seeds
-            payload["peers"] = len(active) - seeds
-        return encode_response(query.tid, payload)
+        if not active:
+            return encode_response(
+                query.tid, {b"id": self._id_bytes, b"nodes": nodes, b"token": token}
+            )
+        seeds = sum(1 for p in active if p.is_seed_at(now))
+        if len(active) > self.max_values:
+            sample = self._rng.sample(active, self.max_values)
+        else:
+            sample = active
+        return encode_response(
+            query.tid,
+            {
+                b"id": self._id_bytes,
+                b"nodes": nodes,
+                b"peers": len(active) - seeds,
+                b"seeds": seeds,
+                b"token": token,
+                b"values": [pack_compact_peer(p.ip, p.port) for p in sample],
+            },
+        )
 
     def _handle_announce_peer(
         self, query: KrpcQuery, sender_ip: int, sender_port: int, now: float
@@ -243,4 +262,12 @@ class DhtNode:
             end=now + self.announce_ttl,
             seed_from=now if seed == 1 else None,
         )
-        return encode_response(query.tid, self._id_payload())
+        return encode_response(query.tid, {b"id": self._id_bytes})
+
+
+_HANDLERS = {
+    "ping": DhtNode._handle_ping,
+    "find_node": DhtNode._handle_find_node,
+    "get_peers": DhtNode._handle_get_peers,
+    "announce_peer": DhtNode._handle_announce_peer,
+}

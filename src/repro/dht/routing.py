@@ -11,12 +11,18 @@ deterministically: a full bucket replaces its least-recently-seen contact
 only when that contact has not been heard from for ``stale_after``
 simulated minutes; otherwise the newcomer is dropped.  Re-observing a
 known contact refreshes its ``last_seen`` in place.
+
+``version`` counts membership changes (insert, eviction, removal, a known
+id moving to a new address).  A ``last_seen`` refresh leaves it alone,
+because it cannot change what :meth:`RoutingTable.closest` returns: ids
+are distinct, so the XOR order ignores bucket order.  Callers key caches
+of ``closest`` results on it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 NODE_ID_BITS = 160
@@ -78,6 +84,7 @@ class RoutingTable:
         self.stale_after = stale_after
         # bucket index -> contacts ordered least- to most-recently seen.
         self._buckets: Dict[int, List[Contact]] = {}
+        self.version = 0
 
     def observe(self, contact: Contact, now: float) -> bool:
         """Record evidence that ``contact`` is alive at ``now``.
@@ -89,21 +96,26 @@ class RoutingTable:
             return False
         index = bucket_index(self.local_id, contact.node_id)
         bucket = self._buckets.setdefault(index, [])
+        fresh = Contact(contact.node_id, contact.ip, contact.port, now)
         for position, existing in enumerate(bucket):
             if existing.node_id == contact.node_id:
                 # Known contact: refresh and move to the fresh end.
                 bucket.pop(position)
-                bucket.append(replace(contact, last_seen=now))
+                bucket.append(fresh)
+                if existing.ip != contact.ip or existing.port != contact.port:
+                    self.version += 1
                 return True
         if len(bucket) < self.k:
-            bucket.append(replace(contact, last_seen=now))
+            bucket.append(fresh)
+            self.version += 1
             return True
         oldest = bucket[0]
         if now - oldest.last_seen > self.stale_after:
             # Kademlia would ping the oldest first; the simulation resolves
             # the ping outcome by staleness, deterministically.
             bucket.pop(0)
-            bucket.append(replace(contact, last_seen=now))
+            bucket.append(fresh)
+            self.version += 1
             return True
         return False
 
@@ -115,7 +127,10 @@ class RoutingTable:
         bucket = self._buckets.get(index)
         if bucket is None:
             return
-        self._buckets[index] = [c for c in bucket if c.node_id != node_id]
+        kept = [c for c in bucket if c.node_id != node_id]
+        if len(kept) != len(bucket):
+            self._buckets[index] = kept
+            self.version += 1
 
     def find(self, node_id: int) -> Optional[Contact]:
         try:
@@ -132,7 +147,7 @@ class RoutingTable:
         if count is None:
             count = self.k
         contacts = [c for bucket in self._buckets.values() for c in bucket]
-        contacts.sort(key=lambda c: xor_distance(c.node_id, target))
+        contacts.sort(key=lambda c: c.node_id ^ target)
         return contacts[:count]
 
     def bucket_sizes(self) -> Dict[int, int]:

@@ -30,11 +30,28 @@ from repro.bencode.reference import bdecode_reference, bencode_reference
 _scalars = st.integers(min_value=-(10**15), max_value=10**15) | st.binary(
     max_size=24
 )
+
+
+def _canonical(mapping):
+    """Re-insert in sorted key order: the shape the encoder's fast path takes."""
+    return dict(sorted(mapping.items()))
+
+
 _values = st.recursive(
     _scalars,
     lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.binary(max_size=12), children, max_size=4),
+    | st.dictionaries(st.binary(max_size=12), children, max_size=4)
+    | st.dictionaries(st.binary(max_size=12), children, max_size=4).map(
+        _canonical
+    ),
     max_leaves=16,
+)
+# Flat containers of scalars: every item takes the encoder's inline path
+# (lists, and dicts whose bytes keys are already sorted).
+_inline_shapes = (
+    st.lists(st.binary(max_size=24), max_size=8)
+    | st.lists(_scalars, max_size=8)
+    | st.dictionaries(st.binary(max_size=12), _scalars, max_size=6).map(_canonical)
 )
 
 
@@ -78,6 +95,31 @@ class TestCodecEquivalence:
         for codec in (bencode, bencode_reference):
             with pytest.raises(BencodeError, match="bool"):
                 codec(True)
+
+    @given(_inline_shapes)
+    @settings(max_examples=200, deadline=None)
+    def test_inline_scalar_paths_match_reference(self, value):
+        wire = bencode(value)
+        assert wire == bencode_reference(value)
+        assert bdecode(wire) == value
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [True],
+            [b"a", 1, False],
+            {b"a": True},
+            {b"a": 1, b"b": b"x", b"c": False},
+            [[b"a", True]],
+            {b"a": [1, True]},
+            {b"a": {b"b": False}},
+        ],
+    )
+    def test_nested_bool_rejected_by_both(self, value):
+        """bool subclasses int; the inline int path must not let it through."""
+        for codec in (bencode, bencode_reference):
+            with pytest.raises(BencodeError, match="bool"):
+                codec(value)
 
     def test_unencodable_type_rejected_by_both(self):
         for codec in (bencode, bencode_reference):

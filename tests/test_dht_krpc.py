@@ -1,11 +1,14 @@
 """Tests for the KRPC codec (repro.dht.krpc)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.bencode import bdecode
+from repro.bencode import bdecode, bencode, codec
 from repro.dht.krpc import (
     ERROR_GENERIC,
     ERROR_PROTOCOL,
+    ERROR_SERVER,
     ERROR_UNKNOWN_METHOD,
     KrpcError,
     KrpcErrorMessage,
@@ -154,3 +157,150 @@ class TestCompactEncodings:
     def test_bad_node_id_rejected(self):
         with pytest.raises(KrpcError, match="20 bytes"):
             pack_compact_nodes([(b"short", 1, 2)])
+
+
+# ----------------------------------------------------------------------
+# Property tests: round trips, strict rejection, and the wire-format pin.
+# ----------------------------------------------------------------------
+_tids = st.binary(min_size=1, max_size=8)
+_ids = st.binary(min_size=20, max_size=20)
+_compact_peers = st.lists(st.binary(min_size=6, max_size=6), max_size=12)
+_compact_nodes = st.lists(st.binary(min_size=26, max_size=26), max_size=8).map(
+    b"".join
+)
+_counts = st.integers(min_value=0, max_value=10**6)
+
+# Method -> strategy for its arguments, keyed by str as callers may write them.
+_QUERY_ARGS = {
+    "ping": st.fixed_dictionaries({"id": _ids}),
+    "find_node": st.fixed_dictionaries({"id": _ids, "target": _ids}),
+    "get_peers": st.fixed_dictionaries({"id": _ids, "info_hash": _ids}),
+    "announce_peer": st.fixed_dictionaries(
+        {
+            "id": _ids,
+            "info_hash": _ids,
+            "port": st.integers(min_value=1, max_value=0xFFFF),
+            "token": st.binary(min_size=1, max_size=8),
+        },
+        optional={"seed": st.integers(min_value=0, max_value=1)},
+    ),
+}
+_queries = st.sampled_from(sorted(_QUERY_ARGS)).flatmap(
+    lambda method: st.tuples(st.just(method), _QUERY_ARGS[method])
+)
+_response_values = st.fixed_dictionaries(
+    {"id": _ids},
+    optional={
+        "nodes": _compact_nodes,
+        "token": st.binary(min_size=1, max_size=8),
+        "values": _compact_peers,
+        "seeds": _counts,
+        "peers": _counts,
+    },
+)
+_error_codes = st.sampled_from(
+    [ERROR_GENERIC, ERROR_SERVER, ERROR_PROTOCOL, ERROR_UNKNOWN_METHOD]
+)
+
+
+def _bytes_keyed(mapping):
+    """The canonical payload shape hot-path callers build: sorted bytes keys."""
+    return {key.encode(): mapping[key] for key in sorted(mapping)}
+
+
+class TestKrpcProperties:
+    @given(_tids, _queries, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_queries_round_trip(self, tid, query, canonical_keys):
+        method, args = query
+        payload = _bytes_keyed(args) if canonical_keys else args
+        message = decode_message(encode_query(tid, method, payload))
+        assert isinstance(message, KrpcQuery)
+        assert (message.tid, message.method) == (tid, method)
+        assert message.args == _bytes_keyed(args)
+        assert message.sender_id == args["id"]
+
+    @given(_tids, _response_values, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_responses_round_trip(self, tid, values, canonical_keys):
+        payload = _bytes_keyed(values) if canonical_keys else values
+        message = decode_message(encode_response(tid, payload))
+        assert isinstance(message, KrpcResponse)
+        assert message.tid == tid
+        assert message.values == _bytes_keyed(values)
+
+    @given(_tids, _error_codes, st.text(max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_errors_round_trip(self, tid, code, text):
+        message = decode_message(encode_error(tid, code, text))
+        assert message == KrpcErrorMessage(tid=tid, code=code, message=text)
+
+    @given(st.binary(max_size=96))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_bytes_raise_only_krpc_error(self, raw):
+        try:
+            decode_message(raw)
+        except KrpcError:
+            pass
+
+    @given(_tids, _queries, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_messages_raise_only_krpc_error(self, tid, query, data):
+        raw = bytearray(encode_query(tid, *query))
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            position = data.draw(st.integers(min_value=0, max_value=len(raw) - 1))
+            raw[position] = data.draw(st.integers(min_value=0, max_value=255))
+        cut = data.draw(st.integers(min_value=0, max_value=len(raw)))
+        try:
+            decode_message(bytes(raw[:cut]))
+        except KrpcError:
+            pass
+
+    @given(_tids, _queries)
+    @settings(max_examples=150, deadline=None)
+    def test_query_bytes_match_str_keyed_envelope(self, tid, query):
+        """The wire-format pin: the canonical bytes-keyed envelope encodes
+        to exactly what bencode gives the historical str-keyed dict."""
+        method, args = query
+        expected = bencode({"t": tid, "y": "q", "q": method, "a": dict(args)})
+        assert encode_query(tid, method, args) == expected
+        assert encode_query(tid, method, _bytes_keyed(args)) == expected
+
+    @given(_tids, _response_values)
+    @settings(max_examples=150, deadline=None)
+    def test_response_bytes_match_str_keyed_envelope(self, tid, values):
+        expected = bencode({"t": tid, "y": "r", "r": dict(values)})
+        assert encode_response(tid, values) == expected
+        assert encode_response(tid, _bytes_keyed(values)) == expected
+
+    @given(_tids, _error_codes, st.text(max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_error_bytes_match_str_keyed_envelope(self, tid, code, text):
+        expected = bencode({"t": tid, "y": "e", "e": [code, text]})
+        assert encode_error(tid, code, text) == expected
+
+
+class TestCanonicalFastPath:
+    def test_canonical_payloads_never_take_the_sorting_path(self, monkeypatch):
+        """Sorted bytes-keyed payloads inside the bytes-keyed envelopes are
+        encoded without the str-key normalisation and sort."""
+
+        def fail(value, out):
+            raise AssertionError(f"slow dict path taken for {value!r}")
+
+        monkeypatch.setattr(codec, "_encode_dict_slow", fail)
+        encode_query(
+            b"t", "get_peers", {b"id": b"\x01" * 20, b"info_hash": b"\x02" * 20}
+        )
+        encode_response(
+            b"t",
+            {
+                b"id": b"\x01" * 20,
+                b"nodes": b"\x03" * 26,
+                b"peers": 2,
+                b"seeds": 1,
+                b"token": b"tok",
+                b"values": [b"\x04" * 6, b"\x05" * 6],
+            },
+        )
+        encode_error(b"t", ERROR_GENERIC, "x")

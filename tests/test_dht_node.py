@@ -1,7 +1,10 @@
 """Tests for one simulated DHT node (repro.dht.node)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.bencode import bencode
 from repro.dht.krpc import (
     ERROR_PROTOCOL,
     ERROR_UNKNOWN_METHOD,
@@ -10,6 +13,8 @@ from repro.dht.krpc import (
     decode_message,
     encode_query,
     encode_response,
+    pack_compact_nodes,
+    pack_compact_peer,
     unpack_compact_nodes,
     unpack_compact_peers,
 )
@@ -219,3 +224,105 @@ class TestDispatchEdges:
             make_node(announce_ttl=0.0)
         with pytest.raises(ValueError):
             make_node(max_values=0)
+
+
+def _uncached_blob(node, target):
+    return pack_compact_nodes(
+        [(node_id_to_bytes(c.node_id), c.ip, c.port) for c in node.table.closest(target)]
+    )
+
+
+def _populated_node(count=60, k=4, stale_after=10.0):
+    node = make_node(k=k, stale_after=stale_after)
+    for i in range(count):
+        node.table.observe(Contact(derive_node_id("n", i), ip=i + 1, port=1), 0.0)
+    return node
+
+
+class TestClosestBlobMemo:
+    @given(st.lists(st.integers(min_value=0, max_value=(1 << 160) - 1), max_size=20))
+    @settings(max_examples=50, deadline=None)
+    def test_cached_blobs_equal_uncached(self, targets):
+        node = _populated_node()
+        for target in targets + targets:  # the second pass hits the memo
+            assert node._compact_closest(target) == _uncached_blob(node, target)
+
+    def test_eviction_changes_next_blob(self):
+        node = _populated_node(k=2)
+        target = derive_node_id("target")
+        before = node._compact_closest(target)
+        closest = node.table.closest(target)[0]
+        # A newcomer in the closest contact's bucket, late enough that the
+        # bucket's oldest entry is stale and gets evicted.
+        newcomer = closest.node_id ^ 1
+        size = len(node.table)
+        assert node.table.observe(Contact(newcomer, ip=999, port=2), now=50.0)
+        assert len(node.table) == size  # a full bucket: one contact went
+        after = node._compact_closest(target)
+        assert after != before
+        assert after == _uncached_blob(node, target)
+        assert node_id_to_bytes(newcomer) in after
+
+    def test_remove_changes_next_blob(self):
+        node = _populated_node()
+        target = derive_node_id("target")
+        before = node._compact_closest(target)
+        gone = node.table.closest(target)[0].node_id
+        node.table.remove(gone)
+        after = node._compact_closest(target)
+        assert after != before
+        assert node_id_to_bytes(gone) not in after
+        assert after == _uncached_blob(node, target)
+
+    def test_refresh_keeps_memo(self):
+        node = _populated_node()
+        target = derive_node_id("target")
+        before = node._compact_closest(target)
+        version = node.table.version
+        member = node.table.closest(target)[0]
+        node.table.observe(member, now=5.0)
+        assert node.table.version == version
+        assert node._compact_closest(target) is before
+
+
+class TestCanonicalResponses:
+    def test_get_peers_bytes_match_str_keyed_payload(self):
+        """Handlers fill bytes-keyed payloads; the wire bytes must equal the
+        historical str-keyed construction."""
+        node = _populated_node()
+        node.store_announce(INFOHASH, ip=1, port=10, start=0.0, end=60.0,
+                            seed_from=0.0)
+        node.store_announce(INFOHASH, ip=2, port=20, start=0.0, end=60.0)
+        query = encode_query(b"t9", "get_peers",
+                             {"id": CLIENT_ID, "info_hash": INFOHASH})
+        raw = node.handle_query(query, CLIENT_IP, 6881, 30.0)
+        expected = bencode({
+            "t": b"t9",
+            "y": "r",
+            "r": {
+                "id": node_id_to_bytes(node.node_id),
+                "token": node.token_for(CLIENT_IP),
+                "nodes": _uncached_blob(node, int.from_bytes(INFOHASH, "big")),
+                "values": [pack_compact_peer(1, 10), pack_compact_peer(2, 20)],
+                "seeds": 1,
+                "peers": 1,
+            },
+        })
+        assert raw == expected
+
+    def test_find_node_and_ping_bytes_match_str_keyed_payload(self):
+        node = _populated_node()
+        target = derive_node_id("target")
+        query = encode_query(b"t1", "find_node",
+                             {"id": CLIENT_ID, "target": node_id_to_bytes(target)})
+        raw = node.handle_query(query, CLIENT_IP, 6881, 1.0)
+        own_id = node_id_to_bytes(node.node_id)
+        assert raw == bencode({
+            "t": b"t1",
+            "y": "r",
+            "r": {"id": own_id, "nodes": _uncached_blob(node, target)},
+        })
+        ping = node.handle_query(
+            encode_query(b"t2", "ping", {"id": CLIENT_ID}), CLIENT_IP, 6881, 2.0
+        )
+        assert ping == bencode({"t": b"t2", "y": "r", "r": {"id": own_id}})

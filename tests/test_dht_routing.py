@@ -127,6 +127,42 @@ class TestRoutingTable:
         assert sizes and all(size <= 3 for size in sizes.values())
         assert len(table) == sum(sizes.values())
 
+    def test_version_moves_on_membership_changes(self):
+        table = self._table(k=2, stale_after=10.0)
+        local = table.local_id
+        ids = [(local ^ (1 << 159)) ^ i for i in range(3)]
+        assert table.version == 0
+        table.observe(Contact(ids[0], ip=1, port=1), now=0.0)
+        table.observe(Contact(ids[1], ip=2, port=1), now=1.0)
+        assert table.version == 2  # two inserts
+        table.observe(Contact(ids[2], ip=3, port=1), now=5.0)
+        assert table.version == 2  # dropped newcomer: no change
+        table.observe(Contact(ids[2], ip=3, port=1), now=20.0)
+        assert table.version == 3  # eviction of the stale oldest
+        table.remove(ids[1])
+        assert table.version == 4
+        table.remove(ids[1])  # absent: no change
+        table.remove(table.local_id)
+        assert table.version == 4
+
+    def test_last_seen_refresh_keeps_version(self):
+        table = self._table()
+        contact = Contact(node_id=derive_node_id("x"), ip=1, port=6881)
+        table.observe(contact, now=1.0)
+        version = table.version
+        table.observe(contact, now=9.0)
+        assert table.version == version
+        assert table.find(contact.node_id).last_seen == 9.0
+
+    def test_address_change_moves_version(self):
+        table = self._table()
+        node_id = derive_node_id("x")
+        table.observe(Contact(node_id, ip=1, port=6881), now=1.0)
+        version = table.version
+        table.observe(Contact(node_id, ip=2, port=6881), now=2.0)
+        assert table.version == version + 1
+        assert table.find(node_id).ip == 2
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RoutingTable(local_id=0, k=0)
