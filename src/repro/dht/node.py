@@ -58,9 +58,6 @@ class StoredPeer:
     # Drives the simplified BEP 33 seeds/peers split.
     seed_from: Optional[float] = None
 
-    def active_at(self, now: float) -> bool:
-        return self.start <= now < self.end
-
     def is_seed_at(self, now: float) -> bool:
         return self.seed_from is not None and self.seed_from <= now
 

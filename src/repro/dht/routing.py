@@ -96,28 +96,25 @@ class RoutingTable:
             return False
         index = bucket_index(self.local_id, contact.node_id)
         bucket = self._buckets.setdefault(index, [])
-        fresh = Contact(contact.node_id, contact.ip, contact.port, now)
         for position, existing in enumerate(bucket):
             if existing.node_id == contact.node_id:
                 # Known contact: refresh and move to the fresh end.
                 bucket.pop(position)
-                bucket.append(fresh)
+                bucket.append(
+                    Contact(contact.node_id, contact.ip, contact.port, now)
+                )
                 if existing.ip != contact.ip or existing.port != contact.port:
                     self.version += 1
                 return True
-        if len(bucket) < self.k:
-            bucket.append(fresh)
-            self.version += 1
-            return True
-        oldest = bucket[0]
-        if now - oldest.last_seen > self.stale_after:
+        if len(bucket) >= self.k:
+            if now - bucket[0].last_seen <= self.stale_after:
+                return False
             # Kademlia would ping the oldest first; the simulation resolves
             # the ping outcome by staleness, deterministically.
             bucket.pop(0)
-            bucket.append(fresh)
-            self.version += 1
-            return True
-        return False
+        bucket.append(Contact(contact.node_id, contact.ip, contact.port, now))
+        self.version += 1
+        return True
 
     def remove(self, node_id: int) -> None:
         try:

@@ -39,11 +39,15 @@ def ask(node, method, args, now=0.0, tid=b"t1", ip=CLIENT_IP, port=6881):
 
 class TestStoredPeer:
     def test_interval_visibility(self):
-        peer = StoredPeer(ip=1, port=2, start=10.0, end=20.0)
-        assert not peer.active_at(9.9)
-        assert peer.active_at(10.0)
-        assert peer.active_at(19.9)
-        assert not peer.active_at(20.0)
+        """An interval is visible on ``start <= now < end``."""
+        node = make_node()
+        node.store_announce(INFOHASH, ip=1, port=2, start=10.0, end=20.0)
+        assert node.peers_for(INFOHASH, 9.9) == []
+        assert node.peers_for(INFOHASH, 10.0) == [
+            StoredPeer(ip=1, port=2, start=10.0, end=20.0)
+        ]
+        assert len(node.peers_for(INFOHASH, 19.9)) == 1
+        assert node.peers_for(INFOHASH, 20.0) == []
 
     def test_seed_flip(self):
         peer = StoredPeer(ip=1, port=2, start=0.0, end=50.0, seed_from=30.0)
@@ -60,6 +64,15 @@ class TestPeerStore:
         assert len(node.peers_for(INFOHASH, 10.0)) == 1
         assert node.peers_for(INFOHASH, 15.0) == []
         assert node.stored_intervals(INFOHASH) == 1
+
+    def test_active_peers_keep_store_order(self):
+        """get_peers samples from this list, so its order is part of the
+        rng contract."""
+        node = make_node()
+        for ip in (5, 3, 9, 1):
+            node.store_announce(INFOHASH, ip=ip, port=1, start=0.0, end=10.0)
+        node.store_announce(INFOHASH, ip=7, port=1, start=20.0, end=30.0)
+        assert [p.ip for p in node.peers_for(INFOHASH, 5.0)] == [5, 3, 9, 1]
 
     def test_zero_length_sessions_dropped(self):
         node = make_node()
