@@ -6,8 +6,7 @@ world-generation feature, a crawler behaviour change, a fixed analysis bug).
 Commit the regenerated JSON together with the change so reviewers see the
 numeric drift explicitly.
 
-    PYTHONPATH=src python examples/regen_goldens.py              # every golden
-    PYTHONPATH=src python examples/regen_goldens.py trackerless  # one golden
+    PYTHONPATH=src python examples/regen_goldens.py
 
 Each golden pins one small campaign: the scenario name, seed, top-k and any
 window override, plus every headline statistic (identification
@@ -33,15 +32,8 @@ from tests.golden_campaigns import (  # noqa: E402
 )
 
 
-def main(names) -> None:
-    unknown = sorted(set(names) - set(GOLDENS))
-    if unknown:
-        raise SystemExit(
-            f"unknown golden(s) {', '.join(unknown)}; "
-            f"valid: {', '.join(sorted(GOLDENS))}"
-        )
-    for name in names or sorted(GOLDENS):
-        spec = GOLDENS[name]
+def main() -> None:
+    for spec in GOLDENS.values():
         spec.path.parent.mkdir(parents=True, exist_ok=True)
         dataset, world = run_golden_campaign(spec)
         payload = golden_payload(spec, dataset, world)
@@ -52,4 +44,4 @@ def main(names) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()

@@ -20,7 +20,6 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.dht import (
@@ -199,23 +198,18 @@ class DhtCrawler:
         alpha: int,
     ) -> List[_Candidate]:
         """The next ``alpha`` nodes worth querying, or [] at convergence."""
-        unqueried: List[Tuple[int, _Candidate]] = []
-        responded: List[int] = []
-        for c in candidates.values():
-            distance = c.distance_to(target)
-            if not c.queried:
-                unqueried.append((distance, c))
-            if c.responded:
-                responded.append(distance)
+        unqueried = [c for c in candidates.values() if not c.queried]
         if not unqueried:
             return []
-        # Stable sort on the distance alone: ties keep insertion order.
-        unqueried.sort(key=itemgetter(0))
+        responded = sorted(
+            (c for c in candidates.values() if c.responded),
+            key=lambda c: c.distance_to(target),
+        )
+        unqueried.sort(key=lambda c: c.distance_to(target))
         if len(responded) >= k:
-            responded.sort()
-            threshold = responded[k - 1]
-            unqueried = [entry for entry in unqueried if entry[0] < threshold]
-        return [c for _distance, c in unqueried[:alpha]]
+            threshold = responded[k - 1].distance_to(target)
+            unqueried = [c for c in unqueried if c.distance_to(target) < threshold]
+        return unqueried[:alpha]
 
     def _query_one(
         self,

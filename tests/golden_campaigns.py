@@ -35,10 +35,6 @@ class GoldenSpec:
     def path(self) -> Path:
         return GOLDEN_DIR / f"{self.scenario}_seed{self.seed}.json"
 
-    @property
-    def pins_dht(self) -> bool:
-        return self.scenario != "tiny"
-
 
 GOLDENS: Dict[str, GoldenSpec] = {
     # The session-scoped ``tiny_run`` fixture in tests/conftest.py builds
@@ -90,6 +86,7 @@ def golden_payload(spec: GoldenSpec, dataset: Any, world: Any) -> Dict[str, Any]
         payload["window_days"] = spec.window_days
     if spec.post_window_days is not None:
         payload["post_window_days"] = spec.post_window_days
-    if spec.pins_dht:
-        payload["dht"] = dht_instruments(dataset.metrics)
+    dht = dht_instruments(dataset.metrics)
+    if dht:
+        payload["dht"] = dht
     return payload
