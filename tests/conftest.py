@@ -11,6 +11,7 @@ import pytest
 from repro.core.analysis import build_report, identify_groups
 from repro.core.collector import run_measurement_with_world
 from repro.simulation import tiny_scenario
+from tests.golden_campaigns import GOLDENS, run_golden_campaign
 
 TINY_SEED = 7
 # The tiny world has ~150-underlying publishers; a top-20 plays the role the
@@ -22,6 +23,23 @@ TINY_TOP_K = 20
 def tiny_run():
     """(dataset, world) for the tiny scenario -- crawled once per session."""
     return run_measurement_with_world(tiny_scenario(), seed=TINY_SEED)
+
+
+@pytest.fixture(scope="session")
+def golden_run(request):
+    """``golden_run(name)`` -> (dataset, world) of the golden campaign
+    ``name``, crawled at most once per session.  ``tiny`` is ``tiny_run``."""
+    cache = {}
+
+    def run(name):
+        if name not in cache:
+            if name == "tiny":
+                cache[name] = request.getfixturevalue("tiny_run")
+            else:
+                cache[name] = run_golden_campaign(GOLDENS[name])
+        return cache[name]
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -44,6 +44,8 @@ GOLDENS: Dict[str, GoldenSpec] = {
     "trackerless": GoldenSpec(
         "trackerless", window_days=0.25, post_window_days=0.25
     ),
+    # Tracker and DHT together: the two-channel crawler's merge path.
+    "hybrid": GoldenSpec("hybrid", window_days=0.25, post_window_days=0.25),
 }
 
 

@@ -7,7 +7,9 @@ pin every headline statistic of one small campaign per discovery channel:
 - ``tiny`` (tracker): the same campaign the session-scoped ``tiny_run``
   fixture builds, so it costs no extra crawl;
 - ``trackerless`` (magnet + DHT, short window): also pins the run's
-  ``dht.*`` instruments, so every KRPC message and lookup hop is counted.
+  ``dht.*`` instruments, so every KRPC message and lookup hop is counted;
+- ``hybrid`` (tracker + DHT, short window): pins the two-channel crawler,
+  which merges both channels' observations of one torrent.
 
 Any unintentional drift in world generation, the crawlers, the DHT,
 identification, session reconstruction or the analysis pipeline fails here
@@ -21,7 +23,7 @@ import math
 import pytest
 
 from repro.campaign import headline_stats
-from tests.golden_campaigns import GOLDENS, golden_payload, run_golden_campaign
+from tests.golden_campaigns import GOLDENS, golden_payload
 
 GOLDEN_PATH = GOLDENS["tiny"].path
 
@@ -122,8 +124,8 @@ class TestTrackerlessGolden:
         assert golden["window_days"] == spec.window_days
         assert golden["post_window_days"] == spec.post_window_days
 
-    def test_campaign_matches_golden(self, golden):
-        dataset, world = run_golden_campaign(self.SPEC)
+    def test_campaign_matches_golden(self, golden, golden_run):
+        dataset, world = golden_run(self.SPEC.scenario)
         _assert_matches_golden(
             golden, golden_payload(self.SPEC, dataset, world)
         )
@@ -137,3 +139,15 @@ class TestTrackerlessGolden:
         assert dht["dht.lookup_peers.sum"] > 0
         assert golden["headline"]["discovery.dht_coverage"] > 0
         assert golden["headline"]["discovery.tracker_coverage"] == 0
+
+
+class TestHybridGolden(TestTrackerlessGolden):
+    SPEC = GOLDENS["hybrid"]
+
+    def test_golden_pins_the_dht_wire_path(self, golden):
+        """Both channels ran and both found torrents."""
+        dht = golden["dht"]
+        assert dht["dht.lookup_queries"] > 0
+        assert dht["dht.lookup_peers.sum"] > 0
+        assert golden["headline"]["discovery.dht_coverage"] > 0
+        assert golden["headline"]["discovery.tracker_coverage"] > 0
