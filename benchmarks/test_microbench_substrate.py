@@ -8,6 +8,7 @@ so regressions in the simulation kernel are visible.
 import random
 
 from repro.bencode import bdecode, bencode
+from repro.observability import MetricsRegistry
 from repro.swarm import PeerSession, Swarm
 from repro.torrent import build_torrent, parse_torrent
 from repro.torrent.metainfo import _derive_pieces
@@ -22,7 +23,7 @@ IH = b"\x77" * 20
 
 def _dense_swarm(n=2000):
     rng = random.Random(3)
-    swarm = Swarm(infohash=IH, birth_time=0.0)
+    swarm = Swarm(infohash=IH, birth_time=0.0, metrics=MetricsRegistry())
     swarm.add_session(
         PeerSession(ip=1, join_time=0, leave_time=100_000, complete_time=0,
                     is_publisher=True)
@@ -80,7 +81,9 @@ def test_bench_swarm_query_stream(benchmark):
 
 
 def test_bench_tracker_announce(benchmark):
-    tracker = Tracker("http://t.sim/a", random.Random(1), TrackerConfig())
+    tracker = Tracker(
+        "http://t.sim/a", random.Random(1), TrackerConfig(), metrics=MetricsRegistry()
+    )
     tracker.register_swarm(_dense_swarm(500))
     state = {"t": 0.0, "client": 0}
 

@@ -13,6 +13,7 @@ numbers of e-books") and the planned fake-publisher filter.
 from repro.core.analysis.mapping import detect_fake_publishers
 from repro.core.collector import run_measurement_with_world
 from repro.core.monitor import ContentPublishingMonitor
+from repro.observability import MetricsRegistry
 from repro.simulation import World, tiny_scenario
 from repro.simulation.engine import EventScheduler
 from repro.stats.tables import format_table
@@ -20,8 +21,8 @@ from repro.stats.tables import format_table
 
 def main() -> None:
     config = tiny_scenario("live-monitor")
-    world = World.build(config, seed=77)
-    scheduler = EventScheduler()
+    world = World.build(config, seed=77, metrics=MetricsRegistry())
+    scheduler = EventScheduler(metrics=world.metrics)
     monitor = ContentPublishingMonitor(
         world, scheduler, poll_interval=5.0,
         # The paper's future-work fake filter, realised: verify a sample of

@@ -56,13 +56,8 @@ def main() -> None:
         campaigns[config.name] = {
             "seed": args.seed + offset,
             "wall_seconds": time.perf_counter() - started,
-            "summary": {
-                "num_torrents": dataset.num_torrents,
-                "num_with_username": dataset.num_with_username,
-                "num_with_publisher_ip": dataset.num_with_publisher_ip,
-                "total_distinct_ips": dataset.total_distinct_ips(),
-            },
-            "crawler_stats": dict(dataset.crawler_stats),
+            "summary": dataset.summary_dict(),
+            "crawler_stats": dataset.crawler_stats,
             "metrics": registry.snapshot(),
         }
 

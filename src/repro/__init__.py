@@ -22,7 +22,7 @@ Quickstart::
 from repro.campaign import SweepSpec, run_sweep
 from repro.core import Dataset, IdentificationOutcome, TorrentRecord, run_measurement
 from repro.core.analysis import PaperReport, build_report, identify_groups
-from repro.observability import MetricsRegistry, get_default_registry
+from repro.observability import MetricsRegistry
 from repro.simulation import (
     ScenarioConfig,
     World,
@@ -44,7 +44,6 @@ __all__ = [
     "TorrentRecord",
     "run_measurement",
     "MetricsRegistry",
-    "get_default_registry",
     "PaperReport",
     "build_report",
     "identify_groups",

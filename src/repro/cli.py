@@ -167,9 +167,11 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         window_days=args.days,
         post_window_days=1.0,
     )
-    world = World.build(config, seed=args.seed)
+    world = World.build(config, seed=args.seed, metrics=MetricsRegistry())
     monitor = ContentPublishingMonitor(
-        world, EventScheduler(), verify_content_fraction=args.verify
+        world,
+        EventScheduler(metrics=world.metrics),
+        verify_content_fraction=args.verify,
     )
     monitor.run_until(config.window_minutes)
     print(f"ingested {monitor.publications_seen} publications; located "

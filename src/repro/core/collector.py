@@ -7,12 +7,15 @@ This is the one-call entry point the examples and benchmarks use::
 
     dataset = run_measurement(pb10_scenario(scale=0.4), seed=2010)
 
-Each run gets its own :class:`~repro.observability.MetricsRegistry` (unless
-one is injected via ``metrics=`` or ``config.metrics``), so telemetry never
-bleeds between campaigns and two same-seed runs produce byte-identical
-sim-clock snapshots.  The final snapshot rides on ``dataset.metrics``; wall
-timers (``campaign.build_world_wall_ms``, ``campaign.crawl_wall_ms``) carry
-the real performance numbers.
+Each run records into one :class:`~repro.observability.MetricsRegistry`:
+the caller's ``metrics=`` or, by default, a fresh one.  These two functions
+are the only place a registry is created; the world, scheduler, crawler and
+every component inside them receive it explicitly.  Telemetry therefore
+never bleeds between campaigns, and two same-seed runs produce
+byte-identical sim-clock snapshots.  The final snapshot rides on
+``dataset.metrics`` (the crawler's counts are read off it); wall timers
+(``campaign.build_world_wall_ms``, ``campaign.crawl_wall_ms``) carry the
+real performance numbers.
 """
 
 from __future__ import annotations
@@ -28,22 +31,14 @@ from repro.simulation.scenarios import ScenarioConfig
 from repro.simulation.world import World
 
 
-def _resolve_registry(
-    config: ScenarioConfig, metrics: Optional[MetricsRegistry]
-) -> MetricsRegistry:
-    if metrics is not None:
-        return metrics
-    if config.metrics is not None:
-        return config.metrics
-    return MetricsRegistry()
-
-
 def _run(
     config: ScenarioConfig,
     seed: int,
-    registry: MetricsRegistry,
+    metrics: Optional[MetricsRegistry],
     report: Callable[[str], None],
 ) -> Tuple[Dataset, World]:
+    # Not ``metrics or ...``: an empty registry has len() 0 and is falsy.
+    registry = metrics if metrics is not None else MetricsRegistry()
     report(f"[{config.name}] building world (seed={seed})")
     with registry.timer("campaign.build_world_wall_ms"):
         world = World.build(config, seed, metrics=registry)
@@ -58,9 +53,10 @@ def _run(
     crawler.start()
     with registry.timer("campaign.crawl_wall_ms"):
         scheduler.run_until(config.horizon_minutes)
+    announces = int(registry.counter("crawler.announces").total())
     report(
         f"[{config.name}] crawl finished: {scheduler.events_run} events, "
-        f"{crawler.stats['announces']} announces"
+        f"{announces} announces"
     )
     return crawler.build_dataset(), world
 
@@ -77,7 +73,7 @@ def run_measurement(
         if progress is not None:
             progress(message)
 
-    dataset, _world = _run(config, seed, _resolve_registry(config, metrics), report)
+    dataset, _world = _run(config, seed, metrics, report)
     return dataset
 
 
@@ -91,6 +87,4 @@ def run_measurement_with_world(
     Tests use this to validate the measurement pipeline against the truth;
     analysis code must only ever receive the :class:`Dataset`.
     """
-    return _run(
-        config, seed, _resolve_registry(config, metrics), lambda message: None
-    )
+    return _run(config, seed, metrics, lambda message: None)

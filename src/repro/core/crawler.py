@@ -30,7 +30,6 @@ from typing import Dict, Optional, Set
 from repro.core.datasets import Dataset, IdentificationOutcome, TorrentRecord
 from repro.core.dht_crawler import DhtCrawler
 from repro.core.identification import identify_publisher
-from repro.observability import MetricsRegistry, get_default_registry
 from repro.peerwire import BitfieldProber
 from repro.portal.rss import RssEntry
 from repro.simulation.engine import EventScheduler
@@ -56,7 +55,6 @@ class Crawler:
         scheduler: EventScheduler,
         rng: random.Random,
         settings: Optional[CrawlerSettings] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.world = world
         self.scheduler = scheduler
@@ -74,22 +72,9 @@ class Crawler:
         self._announce_requests: Dict[tuple, AnnounceRequest] = {}
         self._last_rss_time = float("-inf")
         self._hard_stop = world.config.horizon_minutes
-        self.stats = {
-            "rss_polls": 0,
-            "announces": 0,
-            "announce_failures": 0,
-            "probes": 0,
-            "torrents_discovered": 0,
-            "dht_lookups": 0,
-            "magnet_resolutions": 0,
-        }
-        if metrics is not None:
-            self.metrics = metrics
-        elif getattr(world, "metrics", None) is not None:
-            self.metrics = world.metrics
-        else:
-            self.metrics = get_default_registry()
-        registry = self.metrics
+        # Every count lives in the world's registry; Dataset.crawler_stats
+        # reads them back off the final snapshot.
+        self.metrics = registry = world.metrics
         self._m_rss_polls = registry.counter("crawler.rss_polls").labels()
         # The two hot announce outcomes get pre-bound handles; rare label
         # sets keep using the kwargs API on the parent counter.
@@ -129,7 +114,6 @@ class Crawler:
     # ------------------------------------------------------------------
     def _poll_rss(self) -> None:
         now = self.scheduler.clock.now
-        self.stats["rss_polls"] += 1
         self._m_rss_polls.inc()
         entries = self.world.portal.feed.entries_between(self._last_rss_time, now)
         self._last_rss_time = now
@@ -150,7 +134,6 @@ class Crawler:
             discovered_time=now,
         )
         self.records[entry.torrent_id] = record
-        self.stats["torrents_discovered"] += 1
         self._m_discovered.inc()
         self._m_lag.observe(now - entry.published_time)
         self.metrics.trace.record(
@@ -221,7 +204,6 @@ class Crawler:
             num_pieces = max(
                 1, math.ceil(record.size_bytes / DEFAULT_PIECE_LENGTH)
             )
-            self.stats["magnet_resolutions"] += 1
         self._probers[record.torrent_id] = BitfieldProber(
             self.world.swarm_for(record.torrent_id),
             num_pieces,
@@ -242,14 +224,12 @@ class Crawler:
                 numwant=self.settings.numwant,
             )
         tracker = self.world.tracker
-        self.stats["announces"] += 1
         if tracker.config.wire_fidelity == "sampled":
             # Object path: the tracker hands back the response dataclass and
             # only round-trips 1-in-N messages through the codec itself.
             try:
                 response = tracker.announce_object(request, now)
             except TrackerError:
-                self.stats["announce_failures"] += 1
                 self._m_announce_failure.inc()
                 return None
         else:
@@ -257,7 +237,6 @@ class Crawler:
             try:
                 response = decode_announce_response(raw)
             except TrackerError:
-                self.stats["announce_failures"] += 1
                 self._m_announce_failure.inc()
                 return None
         self._m_announce_ok.inc()
@@ -288,7 +267,6 @@ class Crawler:
     def _dht_lookup(self, record: TorrentRecord, now: float):
         assert self.dht_crawler is not None
         result = self.dht_crawler.lookup(record.infohash, now)
-        self.stats["dht_lookups"] += 1
         self._process_response(record, result, now, channel="dht")
         return result
 
@@ -423,10 +401,9 @@ class Crawler:
     # ------------------------------------------------------------------
     def build_dataset(self) -> Dataset:
         config: ScenarioConfig = self.world.config
-        self.stats["probes"] = sum(
-            prober.probes_sent for prober in self._probers.values()
+        self._m_probes.set(
+            sum(prober.probes_sent for prober in self._probers.values())
         )
-        self._m_probes.set(self.stats["probes"])
         # Final identification outcome per torrent (idempotent gauge, unlike
         # the attempt counter which counts every retry).
         final = self.metrics.gauge("crawler.identification_final")
@@ -447,6 +424,5 @@ class Crawler:
             portal=self.world.portal,
             web_directory=self.world.web_directory,
             monitor_panel=default_monitor_panel(),
-            crawler_stats=dict(self.stats),
             metrics=self.metrics.snapshot(),
         )

@@ -115,10 +115,35 @@ class Dataset:
     portal: Portal
     web_directory: WebDirectory
     monitor_panel: MonitorPanel
-    crawler_stats: Dict[str, int] = field(default_factory=dict)
     # Full observability snapshot (MetricsRegistry.snapshot()) taken when the
     # campaign's dataset was built; {} for datasets loaded from old archives.
     metrics: Dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def crawler_stats(self) -> Dict[str, int]:
+        """The crawler's counts (Section 2), read off the metrics snapshot.
+
+        The registry is the only place a count is kept; an instrument the
+        run never created reads as 0.
+        """
+
+        def read(name: str, label: Optional[str] = None) -> int:
+            values = self.metrics.get(name, {}).get("values", {})
+            if label is None:
+                return int(sum(values.values()))
+            return int(values.get(label, 0))
+
+        return {
+            "rss_polls": read("crawler.rss_polls"),
+            "announces": read("crawler.announces"),
+            "announce_failures": read("crawler.announces", "outcome=failure"),
+            "probes": read("crawler.probes"),
+            "torrents_discovered": read("crawler.torrents_discovered"),
+            "dht_lookups": read("dht.lookups"),
+            "magnet_resolutions": sum(
+                1 for r in self.records.values() if r.via_magnet
+            ),
+        }
 
     # ------------------------------------------------------------------
     # Table 1-style accessors

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.dht import (
@@ -33,7 +33,7 @@ from repro.dht import (
     unpack_compact_peers,
     xor_distance,
 )
-from repro.observability import MetricsRegistry, get_default_registry
+from repro.observability import MetricsRegistry
 
 # The crawler's DHT client lives in its own prefix (10.88.x.x): distinct
 # from vantage machines (10.66.x.x) and DHT nodes (10.77.x.x).
@@ -85,17 +85,6 @@ class _Candidate:
         return -1 if self.node_id is None else xor_distance(self.node_id, target)
 
 
-@dataclass
-class DhtCrawlerStats:
-    lookups: int = 0
-    lookups_with_peers: int = 0
-    queries_sent: int = 0
-    responses: int = 0
-    errors: int = 0
-    timeouts: int = 0  # lost/unroutable messages
-    rounds: List[int] = field(default_factory=list)
-
-
 class DhtCrawler:
     """The crawler's DHT client: deterministic iterative lookups."""
 
@@ -103,7 +92,8 @@ class DhtCrawler:
         self,
         network: DhtNetwork,
         rng: random.Random,
-        metrics: Optional[MetricsRegistry] = None,
+        *,
+        metrics: MetricsRegistry,
         client_ip: int = CRAWLER_DHT_IP,
     ) -> None:
         self.network = network
@@ -111,8 +101,7 @@ class DhtCrawler:
         self.client_ip = client_ip
         self.client_id = derive_node_id("repro-dht-crawler", client_ip)
         self._client_id_bytes = node_id_to_bytes(self.client_id)
-        self.stats = DhtCrawlerStats()
-        self.metrics = metrics if metrics is not None else get_default_registry()
+        self.metrics = metrics
         self._m_lookups = self.metrics.counter("dht.lookups")
         self._m_queries = self.metrics.counter("dht.lookup_queries")
         self._m_hops = self.metrics.histogram("dht.lookup_hops")
@@ -164,10 +153,6 @@ class DhtCrawler:
                     leechers = max(leechers, leeches)
 
         latency = rounds * self.network.config.per_hop_rtt_minutes
-        self.stats.lookups += 1
-        self.stats.rounds.append(rounds)
-        if peers:
-            self.stats.lookups_with_peers += 1
         self._m_lookups.inc(outcome="peers" if peers else "empty")
         self._m_hops.observe(float(rounds))
         self._m_peers.observe(float(len(peers)))
@@ -224,19 +209,15 @@ class DhtCrawler:
             "get_peers",
             {b"id": self._client_id_bytes, b"info_hash": infohash},
         )
-        self.stats.queries_sent += 1
         self._m_queries.inc()
         raw = self.network.send(
             candidate.ip, query, self.client_ip, CRAWLER_DHT_PORT, now
         )
         if raw is None:
-            self.stats.timeouts += 1
             return None
         reply = decode_message(raw)
         if not isinstance(reply, KrpcResponse):
-            self.stats.errors += 1
             return None
-        self.stats.responses += 1
         candidate.responded = True
         responder_id = reply.values.get(b"id")
         if isinstance(responder_id, bytes) and len(responder_id) == 20:

@@ -4,8 +4,14 @@ The paper makes its gathered data "publicly available through a web
 interface"; this module is the archival layer that makes a campaign a
 shareable artifact.  The archive is self-contained: torrent records,
 per-torrent query times, downloader IP sets, watched-IP sightings and the
-crawler statistics all round-trip, so the full analysis pipeline can run on
-a loaded archive without the simulator.
+run's metrics snapshot (which the crawler's counts are read off) all
+round-trip, so the full analysis pipeline can run on a loaded archive
+without the simulator.
+
+``meta.schema_version`` names the archive layout.  Version 2 (written
+today) drops version 1's ``crawler_stats`` meta key and always carries
+``metrics``; a version-1 archive (no ``schema_version``) still loads, its
+``crawler_stats`` ignored.  Any other version is refused.
 
 Lookup services (GeoIP, portal pages, web directory, monitor panel) are
 *live services*, not data; a loaded dataset needs them re-attached (pass the
@@ -26,6 +32,8 @@ from repro.core.datasets import Dataset, IdentificationOutcome, TorrentRecord
 from repro.geoip import GeoIpDatabase, GeoRecord, IspKind
 from repro.portal.categories import Category
 from repro.simulation.scenarios import ScenarioConfig
+
+SCHEMA_VERSION = "2"
 
 _SCHEMA = """
 CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
@@ -106,11 +114,11 @@ def save_dataset(dataset: Dataset, path: str, overwrite: bool = False) -> None:
         conn.executescript("PRAGMA journal_mode=MEMORY;")
         conn.executescript(_SCHEMA)
         meta = {
+            "schema_version": SCHEMA_VERSION,
             "name": dataset.name,
             "start_time": str(dataset.start_time),
             "end_time": str(dataset.end_time),
             "analysis_time": str(dataset.analysis_time),
-            "crawler_stats": json.dumps(dataset.crawler_stats),
             "metrics": json.dumps(dataset.metrics, sort_keys=True),
             "config_name": dataset.config.name,
             "portal_name": dataset.config.portal_name,
@@ -190,6 +198,17 @@ def load_dataset(
     conn = sqlite3.connect(path)
     try:
         meta = dict(conn.execute("SELECT key, value FROM meta").fetchall())
+        version = meta.get("schema_version", "1")
+        if version == "1":
+            # The oldest version-1 archives predate the snapshot.
+            metrics = json.loads(meta.get("metrics", "{}"))
+        elif version == SCHEMA_VERSION:
+            metrics = json.loads(meta["metrics"])
+        else:
+            raise ValueError(
+                f"{path}: unsupported archive schema_version {version!r} "
+                f"(this reader knows 1 and {SCHEMA_VERSION})"
+            )
         records: Dict[int, TorrentRecord] = {}
         for row in conn.execute("SELECT * FROM torrents"):
             (
@@ -265,6 +284,5 @@ def load_dataset(
         portal=portal,  # type: ignore[arg-type]
         web_directory=web_directory,  # type: ignore[arg-type]
         monitor_panel=monitor_panel,  # type: ignore[arg-type]
-        crawler_stats=json.loads(meta["crawler_stats"]),
-        metrics=json.loads(meta.get("metrics", "{}")),
+        metrics=metrics,
     )

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 
 from repro.dht.node import DHT_PORT, DhtNode
 from repro.dht.routing import Contact, derive_node_id, xor_distance
-from repro.observability import MetricsRegistry, get_default_registry
+from repro.observability import MetricsRegistry
 
 # DHT node IPs live in 10.77.0.0/16; the crawler vantages use 10.66.0.0/16
 # and simulated peers get public-looking addresses from the geoip model, so
@@ -73,13 +73,14 @@ class DhtNetwork:
         config: DhtConfig,
         nodes: List[DhtNode],
         rng: random.Random,
-        metrics: Optional[MetricsRegistry] = None,
+        *,
+        metrics: MetricsRegistry,
     ) -> None:
         self.config = config
         self.nodes = nodes
         self._by_ip: Dict[int, DhtNode] = {node.ip: node for node in nodes}
         self._rng = rng
-        self.metrics = metrics if metrics is not None else get_default_registry()
+        self.metrics = metrics
         self.metrics.gauge("dht.nodes").set(len(nodes))
         self._m_stored = self.metrics.counter("dht.announces_stored")
         messages = self.metrics.counter("dht.messages")
@@ -98,10 +99,10 @@ class DhtNetwork:
         config: DhtConfig,
         seed: int,
         rng: random.Random,
-        metrics: Optional[MetricsRegistry] = None,
+        *,
+        metrics: MetricsRegistry,
     ) -> "DhtNetwork":
         """Assemble the overlay deterministically from the campaign seed."""
-        registry = metrics if metrics is not None else get_default_registry()
         nodes: List[DhtNode] = []
         for index in range(config.num_nodes):
             node_rng = random.Random(rng.getrandbits(64))
@@ -128,10 +129,10 @@ class DhtNetwork:
                     Contact(node_id=other.node_id, ip=other.ip, port=other.port),
                     now=0.0,
                 )
-        table_sizes = registry.histogram("dht.routing_table_size")
+        table_sizes = metrics.histogram("dht.routing_table_size")
         for node in nodes:
             table_sizes.observe(float(len(node.table)))
-        return cls(config, nodes, rng, metrics=registry)
+        return cls(config, nodes, rng, metrics=metrics)
 
     # ------------------------------------------------------------------
     # Addressing

@@ -11,18 +11,16 @@ Usage::
         ...
     print(registry.to_json(indent=2))
 
-Components that are built without an explicit registry fall back to the
-process-global default (:func:`get_default_registry`), so ad-hoc scripts get
-instrumentation for free; campaign entry points
-(:func:`repro.core.collector.run_measurement`) create a fresh registry per
-run so runs never bleed into each other and same-seed snapshots stay
-byte-identical.
+There is no process-global registry.  Every component that records
+metrics takes its run's registry as a required ``metrics=`` argument, and
+the campaign entry points (:func:`repro.core.collector.run_measurement`)
+create a fresh one per run, so runs never bleed into each other and
+same-seed snapshots stay byte-identical.  Each count lives in the registry
+once; derived views such as ``Dataset.crawler_stats`` are read off its
+snapshot.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from typing import Iterator
 
 from repro.observability.metrics import (
     Counter,
@@ -35,32 +33,6 @@ from repro.observability.metrics import (
 )
 from repro.observability.tracing import TraceBuffer, TraceEvent
 
-_default_registry = MetricsRegistry()
-
-
-def get_default_registry() -> MetricsRegistry:
-    """The process-global registry used when none is injected."""
-    return _default_registry
-
-
-def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-global registry; returns the previous one."""
-    global _default_registry
-    previous = _default_registry
-    _default_registry = registry
-    return previous
-
-
-@contextmanager
-def scoped_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
-    """Temporarily make ``registry`` the process-global default."""
-    previous = set_default_registry(registry)
-    try:
-        yield registry
-    finally:
-        set_default_registry(previous)
-
-
 __all__ = [
     "Counter",
     "Gauge",
@@ -71,7 +43,4 @@ __all__ = [
     "TraceBuffer",
     "TraceEvent",
     "merge_snapshots",
-    "get_default_registry",
-    "set_default_registry",
-    "scoped_registry",
 ]

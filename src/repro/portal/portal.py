@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.observability import MetricsRegistry, get_default_registry
+from repro.observability import MetricsRegistry
 from repro.portal.accounts import AccountRegistry
 from repro.portal.categories import Category
 from repro.portal.pages import ContentPage, UserPage
@@ -62,15 +62,13 @@ class _Item:
 class Portal:
     """One BitTorrent portal (index + feed + accounts + moderation)."""
 
-    def __init__(
-        self, config: PortalConfig, metrics: Optional[MetricsRegistry] = None
-    ) -> None:
+    def __init__(self, config: PortalConfig, *, metrics: MetricsRegistry) -> None:
         self.config = config
         self.accounts = AccountRegistry()
         self.feed = RssFeed(include_username=config.rss_includes_username)
         self._items: Dict[int, _Item] = {}
         self._next_id = 1
-        self.metrics = metrics if metrics is not None else get_default_registry()
+        self.metrics = metrics
         self._m_publishes = self.metrics.counter("portal.publishes")
         self._m_removals = self.metrics.counter("portal.removals_scheduled")
         self._m_bans = self.metrics.counter("portal.account_bans")

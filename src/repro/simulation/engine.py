@@ -33,7 +33,7 @@ import math
 import time as _time
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.observability import MetricsRegistry, get_default_registry
+from repro.observability import MetricsRegistry
 from repro.simulation.clock import Clock
 
 
@@ -50,10 +50,11 @@ class EventScheduler:
     def __init__(
         self,
         clock: Optional[Clock] = None,
-        metrics: Optional[MetricsRegistry] = None,
+        *,
+        metrics: MetricsRegistry,
     ) -> None:
         self.clock = clock if clock is not None else Clock()
-        self.metrics = metrics if metrics is not None else get_default_registry()
+        self.metrics = metrics
         self._heap: List[Tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = itertools.count()
         self._events_run = 0

@@ -41,7 +41,7 @@ from repro.agents.profiles import IpPolicy, PromoPlacement, PublisherClass
 from repro.dht import DhtNetwork
 from repro.geoip import AddressPlan, GeoIpDatabase, default_isp_profiles
 from repro.geoip.isps import IspKind
-from repro.observability import MetricsRegistry, get_default_registry
+from repro.observability import MetricsRegistry
 from repro.portal import Portal, PortalConfig
 from repro.portal.categories import Category
 from repro.simulation.clock import DAY, HOUR
@@ -115,7 +115,8 @@ class World:
         tracker: Tracker,
         portal: Portal,
         population: Population,
-        metrics: Optional[MetricsRegistry] = None,
+        *,
+        metrics: MetricsRegistry,
         dht: Optional[DhtNetwork] = None,
     ) -> None:
         self.config = config
@@ -126,7 +127,7 @@ class World:
         self.portal = portal
         self.population = population
         self.dht = dht
-        self.metrics = metrics if metrics is not None else get_default_registry()
+        self.metrics = metrics
         self.truth = WorldTruth()
         self._swarms_by_torrent_id: Dict[int, Swarm] = {}
         self._num_pieces_by_torrent_id: Dict[int, int] = {}
@@ -140,11 +141,9 @@ class World:
         cls,
         config: ScenarioConfig,
         seed: int,
-        metrics: Optional[MetricsRegistry] = None,
+        *,
+        metrics: MetricsRegistry,
     ) -> "World":
-        registry = metrics if metrics is not None else config.metrics
-        if registry is None:
-            registry = get_default_registry()
         master = random.Random(seed)
         plan_rng = random.Random(master.getrandbits(64))
         pop_rng = random.Random(master.getrandbits(64))
@@ -157,16 +156,16 @@ class World:
 
         plan = AddressPlan(default_isp_profiles(), plan_rng)
         geoip = plan.build_database()
-        tracker = Tracker(ANNOUNCE_URL, tracker_rng, config.tracker, metrics=registry)
+        tracker = Tracker(ANNOUNCE_URL, tracker_rng, config.tracker, metrics=metrics)
         dht: Optional[DhtNetwork] = None
         if config.uses_dht:
-            dht = DhtNetwork.build(config.dht, seed, dht_rng, metrics=registry)
+            dht = DhtNetwork.build(config.dht, seed, dht_rng, metrics=metrics)
         portal = Portal(
             PortalConfig(
                 name=config.portal_name,
                 rss_includes_username=config.rss_includes_username,
             ),
-            metrics=registry,
+            metrics=metrics,
         )
         population = build_population(pop_rng, plan, config.population)
         world = cls(
@@ -177,12 +176,12 @@ class World:
             tracker,
             portal,
             population,
-            metrics=registry,
+            metrics=metrics,
             dht=dht,
         )
-        registry.gauge("world.agents").set(len(population.agents))
+        metrics.gauge("world.agents").set(len(population.agents))
         world._generate(workload_rng)
-        registry.gauge("world.torrents").set(portal.num_items)
+        metrics.gauge("world.torrents").set(portal.num_items)
         return world
 
     @property

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from repro.observability import MetricsRegistry, get_default_registry
+from repro.observability import MetricsRegistry
 from repro.swarm.peer import PeerSession
 
 
@@ -74,7 +74,8 @@ def generate_downloader_sessions(
     popularity: PopularityModel,
     behavior: DownloaderBehavior,
     mint_ip: Callable[[], int],
-    metrics: Optional[MetricsRegistry] = None,
+    *,
+    metrics: MetricsRegistry,
 ) -> List[PeerSession]:
     """Generate every downloader session a torrent will ever have.
 
@@ -86,9 +87,8 @@ def generate_downloader_sessions(
     (labeled ``kind=fake|aborted|seeder|hit_and_run``) and the suppressed-
     by-moderation count feeds ``swarm.arrivals_suppressed``.
     """
-    registry = metrics if metrics is not None else get_default_registry()
-    generated = registry.counter("swarm.sessions_generated")
-    suppressed = registry.counter("swarm.arrivals_suppressed")
+    generated = metrics.counter("swarm.sessions_generated")
+    suppressed = metrics.counter("swarm.arrivals_suppressed")
     sessions: List[PeerSession] = []
     for _ in range(popularity.total_downloads):
         offset = rng.expovariate(1.0 / popularity.decay_tau)

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.observability import MetricsRegistry, get_default_registry
+from repro.observability import MetricsRegistry
 from repro.swarm.peer import PeerSession
 
 
@@ -41,20 +41,20 @@ class Swarm:
         self,
         infohash: bytes,
         birth_time: float,
-        metrics: Optional[MetricsRegistry] = None,
+        *,
+        metrics: MetricsRegistry,
     ) -> None:
         if len(infohash) != 20:
             raise ValueError(f"infohash must be 20 bytes, got {len(infohash)}")
         self.infohash = infohash
         self.birth_time = birth_time
-        registry = metrics if metrics is not None else get_default_registry()
         # Aggregated across all swarms of the run: arrivals/departures/seeder
         # flips as the tracker's monotonic queries sweep each timeline.
-        self._m_arrivals = registry.counter("swarm.arrivals").labels()
-        self._m_departures = registry.counter("swarm.departures").labels()
-        self._m_completions = registry.counter("swarm.completions").labels()
-        self._m_queries = registry.counter("swarm.queries").labels()
-        self._m_active = registry.histogram("swarm.active_peers").labels()
+        self._m_arrivals = metrics.counter("swarm.arrivals").labels()
+        self._m_departures = metrics.counter("swarm.departures").labels()
+        self._m_completions = metrics.counter("swarm.completions").labels()
+        self._m_queries = metrics.counter("swarm.queries").labels()
+        self._m_active = metrics.histogram("swarm.active_peers").labels()
         self._sessions: List[PeerSession] = []
         self._frozen = False
         # Incremental state (valid once frozen).

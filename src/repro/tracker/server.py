@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set, Tuple
 
-from repro.observability import MetricsRegistry, get_default_registry
+from repro.observability import MetricsRegistry
 from repro.swarm import Swarm
 from repro.tracker.protocol import (
     AnnounceRequest,
@@ -82,7 +82,8 @@ class Tracker:
         url: str,
         rng: random.Random,
         config: Optional[TrackerConfig] = None,
-        metrics: Optional[MetricsRegistry] = None,
+        *,
+        metrics: MetricsRegistry,
     ) -> None:
         self.url = url
         self.config = config if config is not None else TrackerConfig()
@@ -91,14 +92,11 @@ class Tracker:
         self._last_announce: Dict[Tuple[int, bytes], float] = {}
         self._violations: Dict[int, int] = {}
         self._blacklist: Set[int] = set()
-        self.announces_served = 0
-        self.announces_rejected = 0
         self._wire_counter = 0  # object-path announces since the last sample
-        self.wire_samples_checked = 0
-        self.metrics = metrics if metrics is not None else get_default_registry()
+        self.metrics = metrics
         announces = self.metrics.counter("tracker.announces")
         self._m_announces = announces
-        self._m_announces_served = announces.labels(result="served")
+        self._m_served = announces.labels(result="served")
         # One bound handle per rejection kind; resolved lazily in _reject so
         # unexercised outcomes never appear in the bound cache.
         self._m_announce_results: Dict[str, Any] = {}
@@ -120,7 +118,6 @@ class Tracker:
         return handle
 
     def _reject(self, reason: str, response: bytes) -> bytes:
-        self.announces_rejected += 1
         self._result_handle(reason).inc()
         self._m_response_bytes.observe(len(response))
         return response
@@ -213,8 +210,7 @@ class Tracker:
         outcome, payload = self._policy(request, now)
         if outcome != "served":
             return self._reject(outcome, encode_failure(payload))
-        self.announces_served += 1
-        self._m_announces_served.inc()
+        self._m_served.inc()
         response = encode_announce_success(
             interval_seconds=payload.interval_seconds,
             seeders=payload.seeders,
@@ -232,9 +228,10 @@ class Tracker:
         same failure message the byte path would encode.  Every
         ``wire_sample_interval``-th message is additionally round-tripped
         through the real codec and asserted lossless, keeping the wire format
-        continuously exercised.  ``tracker.response_bytes`` is only observed
-        for sampled messages (it is a wall-independent histogram, so sampled
-        runs intentionally opt out of byte-path metric parity).
+        continuously exercised.  ``tracker.response_bytes`` is observed once
+        per checked sample and never otherwise, so its count is the number of
+        samples checked (sampled runs intentionally opt out of byte-path
+        metric parity).
         """
         outcome, payload = self._policy(request, now)
         self._wire_counter += 1
@@ -242,13 +239,11 @@ class Tracker:
         if sample:
             self._wire_counter = 0
         if outcome != "served":
-            self.announces_rejected += 1
             self._result_handle(outcome).inc()
             if sample:
                 self._check_failure_roundtrip(payload)
             raise TrackerError(payload)
-        self.announces_served += 1
-        self._m_announces_served.inc()
+        self._m_served.inc()
         if sample:
             self._check_success_roundtrip(payload)
         return payload
@@ -267,7 +262,6 @@ class Tracker:
             raise AssertionError(
                 f"failure response decoded as success: {message!r}"
             )
-        self.wire_samples_checked += 1
 
     def _check_success_roundtrip(self, response: AnnounceResponse) -> None:
         wire = encode_announce_success(
@@ -282,7 +276,6 @@ class Tracker:
             raise AssertionError(
                 f"lossy announce round-trip: {response!r} -> {decoded!r}"
             )
-        self.wire_samples_checked += 1
 
     def scrape(self, infohashes: Tuple[bytes, ...], now: float) -> bytes:
         """Handle a scrape for the given infohashes."""

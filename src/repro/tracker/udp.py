@@ -28,12 +28,7 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.tracker.protocol import (
-    AnnounceRequest,
-    AnnounceResponse,
-    TrackerError,
-    decode_announce_response as http_decode_announce_response,
-)
+from repro.tracker.protocol import AnnounceRequest, AnnounceResponse, TrackerError
 from repro.tracker.server import Tracker
 
 PROTOCOL_MAGIC = 0x41727101980
@@ -239,22 +234,13 @@ class UdpTrackerEndpoint:
                 client_ip=source_ip,
                 numwant=max(0, request.numwant),
             )
-            if self._tracker.config.wire_fidelity == "sampled":
-                # Object path: skip the inner bencode round-trip; the UDP
-                # framing itself is still encoded below, so this transport
-                # stays byte-real on the outside.
-                try:
-                    response = self._tracker.announce_object(announce, now)
-                except TrackerError as exc:
-                    self._m_errors.inc(reason="tracker_failure")
-                    return encode_error(request.transaction_id, str(exc))
-            else:
-                raw = self._tracker.announce(announce, now)
-                try:
-                    response = http_decode_announce_response(raw)
-                except TrackerError as exc:
-                    self._m_errors.inc(reason="tracker_failure")
-                    return encode_error(request.transaction_id, str(exc))
+            # BEP 15 carries no bencode, so the policy result is packed
+            # straight into the UDP frame.
+            try:
+                response = self._tracker.announce_object(announce, now)
+            except TrackerError as exc:
+                self._m_errors.inc(reason="tracker_failure")
+                return encode_error(request.transaction_id, str(exc))
             return encode_announce_response(
                 request.transaction_id,
                 response.interval_seconds,

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.observability import MetricsRegistry
 from repro.peerwire.messages import (
     CANCEL_ID,
     CHOKE_ID,
@@ -106,7 +107,7 @@ class TestPiecePayloads:
 class TestVerification:
     def _swarm(self, garbage, natted=False):
         meta = parse_torrent(build_torrent(ANNOUNCE, "Some.Release", 5_000_000))
-        swarm = Swarm(infohash=meta.infohash, birth_time=0.0)
+        swarm = Swarm(infohash=meta.infohash, birth_time=0.0, metrics=MetricsRegistry())
         swarm.add_session(
             PeerSession(
                 ip=1,

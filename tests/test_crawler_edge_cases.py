@@ -7,13 +7,14 @@ import pytest
 
 from repro.core.crawler import Crawler
 from repro.core.datasets import IdentificationOutcome
+from repro.observability import MetricsRegistry
 from repro.simulation import CrawlerSettings, World, tiny_scenario
 from repro.simulation.engine import EventScheduler
 
 
 def _crawl(config, seed=5, settings=None):
-    world = World.build(config, seed)
-    scheduler = EventScheduler()
+    world = World.build(config, seed, metrics=MetricsRegistry())
+    scheduler = EventScheduler(metrics=world.metrics)
     crawler = Crawler(world, scheduler, random.Random(1), settings=settings)
     crawler.start()
     scheduler.run_until(config.horizon_minutes)

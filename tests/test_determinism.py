@@ -1,6 +1,10 @@
 """Whole-pipeline determinism: same seed, same campaign, bit for bit."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.core.collector import run_measurement
 from repro.observability import MetricsRegistry
@@ -91,3 +95,63 @@ class TestMetricsDeterminism:
         sim_names = set(registry.instrument_names(include_wall=False))
         assert "engine.callback_wall_ms" in all_names - sim_names
         assert "campaign.crawl_wall_ms" in all_names - sim_names
+
+
+# Runs the hybrid golden campaign and prints one SHA-256 over its dataset
+# summary, headline statistics and sim-domain metrics snapshot.
+_DIGEST_SCRIPT = """
+import hashlib, json
+from repro.campaign import headline_stats
+from repro.core.collector import run_measurement_with_world
+from repro.observability import MetricsRegistry
+from repro.simulation import build_scenario
+from tests.golden_campaigns import GOLDENS
+
+spec = GOLDENS["hybrid"]
+config = build_scenario(
+    spec.scenario,
+    window_days=spec.window_days,
+    post_window_days=spec.post_window_days,
+)
+registry = MetricsRegistry()
+dataset, world = run_measurement_with_world(config, seed=spec.seed, metrics=registry)
+payload = {
+    "summary": dataset.summary_dict(),
+    "headline": headline_stats(dataset, world, top_k=spec.top_k),
+    "metrics": registry.snapshot(include_wall=False),
+}
+print(hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest())
+"""
+
+
+class TestHashSeedDeterminism:
+    """str/bytes hashing is salted per process (PYTHONHASHSEED), so any
+    output that depends on set or dict-of-str iteration order drifts between
+    processes even with the same campaign seed."""
+
+    def test_hybrid_campaign_independent_of_hash_seed(self):
+        root = Path(__file__).resolve().parents[1]
+        processes = []
+        for hash_seed in ("0", "1"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=hash_seed,
+                PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
+            )
+            processes.append(
+                subprocess.Popen(
+                    [sys.executable, "-c", _DIGEST_SCRIPT],
+                    cwd=root,
+                    env=env,
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE,
+                    text=True,
+                )
+            )
+        digests = []
+        for process in processes:
+            out, err = process.communicate(timeout=600)
+            assert process.returncode == 0, err
+            digests.append(out.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]

@@ -23,7 +23,7 @@ def build_network(seed=11, metrics=None, **overrides):
     config = DhtConfig(num_nodes=overrides.pop("num_nodes", 64), **overrides)
     return DhtNetwork.build(
         config, seed=seed, rng=random.Random(seed),
-        metrics=metrics or MetricsRegistry(),
+        metrics=metrics if metrics is not None else MetricsRegistry(),
     )
 
 
@@ -175,7 +175,11 @@ class TestIterativeLookup:
             crawler.lookup(INFOHASH, now=10.0).found_peers for _ in range(10)
         )
         assert found >= 5
-        assert crawler.stats.timeouts > 0
+        messages = network.metrics.counter("dht.messages")
+        assert (
+            messages.value(outcome="lost") + messages.value(outcome="unroutable")
+            > 0
+        )
 
     def test_latency_scales_with_hops(self):
         network = build_network(per_hop_rtt_minutes=0.5)
@@ -187,11 +191,13 @@ class TestIterativeLookup:
         network = build_network(metrics=registry)
         network.announce_session(INFOHASH, ip=5, port=1, start=0.0, end=99.0)
         crawler = DhtCrawler(network, random.Random(1), metrics=registry)
-        crawler.lookup(INFOHASH, now=10.0)
+        result = crawler.lookup(INFOHASH, now=10.0)
         snapshot = registry.snapshot(include_wall=False)
         assert snapshot["dht.lookups"]["values"]["outcome=peers"] == 1
-        assert (
-            snapshot["dht.lookup_queries"]["values"][""]
-            == crawler.stats.queries_sent
+        # Every query the crawler sends is one message through the network.
+        assert snapshot["dht.lookup_queries"]["values"][""] == sum(
+            snapshot["dht.messages"]["values"].values()
         )
+        assert snapshot["dht.lookup_queries"]["values"][""] == result.nodes_queried
         assert snapshot["dht.lookup_hops"]["values"][""]["count"] == 1
+        assert snapshot["dht.lookup_hops"]["values"][""]["sum"] == result.hops

@@ -1,13 +1,21 @@
 """Tests for dataset archival (save/load round-trips)."""
 
+import json
 import os
+import shutil
+import sqlite3
 
 import pytest
 
 from repro.core.analysis.contribution import analyze_contribution
 from repro.core.analysis.isps import isp_ranking, ovh_vs_comcast
 from repro.core.analysis.mapping import analyze_mapping
-from repro.core.export import ArchivedGeoIp, load_dataset, save_dataset
+from repro.core.export import (
+    SCHEMA_VERSION,
+    ArchivedGeoIp,
+    load_dataset,
+    save_dataset,
+)
 
 
 @pytest.fixture(scope="module")
@@ -80,3 +88,80 @@ class TestStandaloneLoad:
         loaded = load_dataset(archive_path)
         assert loaded.geoip.lookup(1) is None
         assert loaded.geoip.isp_of(1) is None
+
+
+def _rewrite_meta(source, target, drop=(), put=None):
+    """Copy the archive at ``source`` to ``target`` and edit its meta rows."""
+    shutil.copyfile(source, target)
+    conn = sqlite3.connect(target)
+    try:
+        for key in drop:
+            conn.execute("DELETE FROM meta WHERE key = ?", (key,))
+        for key, value in (put or {}).items():
+            conn.execute("INSERT OR REPLACE INTO meta VALUES (?, ?)", (key, value))
+        conn.commit()
+    finally:
+        conn.close()
+    return str(target)
+
+
+def _meta(path):
+    conn = sqlite3.connect(path)
+    try:
+        return dict(conn.execute("SELECT key, value FROM meta"))
+    finally:
+        conn.close()
+
+
+class TestSchemaVersion:
+    def test_round_trip_carries_version_2(self, dataset, archive_path):
+        meta = _meta(archive_path)
+        assert SCHEMA_VERSION == "2"
+        assert meta["schema_version"] == "2"
+        # Version 2 keeps counts only in the metrics snapshot.
+        assert "crawler_stats" not in meta
+        loaded = load_dataset(archive_path)
+        assert loaded.metrics == dataset.metrics
+        assert loaded.crawler_stats == dataset.crawler_stats
+
+    def test_version_1_archive_with_crawler_stats_loads(
+        self, dataset, archive_path, tmp_path
+    ):
+        stale = {key: 0 for key in dataset.crawler_stats}
+        path = _rewrite_meta(
+            archive_path,
+            tmp_path / "v1.sqlite",
+            drop=("schema_version",),
+            put={"crawler_stats": json.dumps(stale)},
+        )
+        loaded = load_dataset(path)
+        assert set(loaded.records) == set(dataset.records)
+        # The stored copy is ignored; the counts come from the snapshot.
+        assert loaded.crawler_stats == dataset.crawler_stats
+
+    def test_version_1_archive_without_metrics_loads(
+        self, dataset, archive_path, tmp_path
+    ):
+        path = _rewrite_meta(
+            archive_path,
+            tmp_path / "v1-old.sqlite",
+            drop=("schema_version", "metrics"),
+            put={"crawler_stats": json.dumps(dataset.crawler_stats)},
+        )
+        loaded = load_dataset(path)
+        assert loaded.metrics == {}
+        assert set(loaded.records) == set(dataset.records)
+
+    def test_version_2_archive_requires_metrics(self, archive_path, tmp_path):
+        path = _rewrite_meta(
+            archive_path, tmp_path / "v2-bad.sqlite", drop=("metrics",)
+        )
+        with pytest.raises(KeyError, match="metrics"):
+            load_dataset(path)
+
+    def test_unknown_version_refused(self, archive_path, tmp_path):
+        path = _rewrite_meta(
+            archive_path, tmp_path / "v99.sqlite", put={"schema_version": "99"}
+        )
+        with pytest.raises(ValueError, match="'99'"):
+            load_dataset(path)

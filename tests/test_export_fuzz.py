@@ -120,8 +120,12 @@ def _random_dataset(seed: int, num_records: int = 12) -> Dataset:
         portal=None,  # type: ignore[arg-type]
         web_directory=None,  # type: ignore[arg-type]
         monitor_panel=None,  # type: ignore[arg-type]
-        crawler_stats={"rss_polls": rng.randrange(0, 100)},
-        metrics={},
+        metrics={
+            "crawler.rss_polls": {
+                "type": "counter",
+                "values": {"": float(rng.randrange(0, 100))},
+            }
+        },
     )
 
 

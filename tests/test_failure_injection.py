@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.core.crawler import Crawler
+from repro.observability import MetricsRegistry
 from repro.simulation import CrawlerSettings, World, tiny_scenario
 from repro.simulation.engine import EventScheduler
 from repro.swarm import PeerSession, Swarm
@@ -26,8 +27,9 @@ class TestTrackerOverload:
             "http://t.sim/a",
             random.Random(0),
             TrackerConfig(failure_probability=p),
+            metrics=MetricsRegistry(),
         )
-        swarm = Swarm(infohash=IH, birth_time=0.0)
+        swarm = Swarm(infohash=IH, birth_time=0.0, metrics=MetricsRegistry())
         swarm.add_session(
             PeerSession(ip=1, join_time=0, leave_time=10_000, complete_time=0)
         )
@@ -80,8 +82,8 @@ class TestCrawlUnderFailures:
             ),
             crawler=CrawlerSettings(rss_poll_interval=10.0, vantage_count=1),
         )
-        world = World.build(config, seed=13)
-        scheduler = EventScheduler()
+        world = World.build(config, seed=13, metrics=MetricsRegistry())
+        scheduler = EventScheduler(metrics=world.metrics)
         crawler = Crawler(world, scheduler, random.Random(2))
         crawler.start()
         scheduler.run_until(config.horizon_minutes)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.datasets import IdentificationOutcome
 from repro.core.identification import identify_publisher
+from repro.observability import MetricsRegistry
 from repro.peerwire import BitfieldProber
 from repro.swarm import PeerSession, Swarm
 from repro.tracker import AnnounceResponse
@@ -13,7 +14,7 @@ PEER_ID = b"-RP1000-repro-test00"
 
 
 def make_swarm(publisher_natted=False, extra_seeder=False, leechers=3):
-    swarm = Swarm(infohash=IH, birth_time=0.0)
+    swarm = Swarm(infohash=IH, birth_time=0.0, metrics=MetricsRegistry())
     swarm.add_session(
         PeerSession(ip=100, join_time=0, leave_time=1000, complete_time=0,
                     natted=publisher_natted, is_publisher=True)
@@ -75,7 +76,7 @@ class TestIdentifyPublisher:
         assert result.outcome is IdentificationOutcome.TOO_MANY_PEERS
 
     def test_no_seeder_is_retryable(self):
-        swarm = Swarm(infohash=IH, birth_time=0.0)
+        swarm = Swarm(infohash=IH, birth_time=0.0, metrics=MetricsRegistry())
         swarm.add_session(PeerSession(ip=1, join_time=0, leave_time=100))
         swarm.freeze()
         result = identify_publisher(
@@ -103,7 +104,7 @@ class TestIdentifyPublisher:
 
     def test_ambiguous_when_leecher_completed_since_announce(self):
         """Tracker said 1 seeder, but a leecher completes before the probe."""
-        swarm = Swarm(infohash=IH, birth_time=0.0)
+        swarm = Swarm(infohash=IH, birth_time=0.0, metrics=MetricsRegistry())
         swarm.add_session(
             PeerSession(ip=100, join_time=0, leave_time=1000, complete_time=0,
                         is_publisher=True)

@@ -6,6 +6,7 @@ import pytest
 from repro.core.analysis.incentives import classify_top_publishers
 from repro.core.analysis.mapping import detect_fake_publishers
 from repro.core.monitor import ContentPublishingMonitor
+from repro.observability import MetricsRegistry
 from repro.simulation import World, tiny_scenario
 from repro.simulation.engine import EventScheduler
 from repro.websites.model import MonetizationMethod
@@ -32,8 +33,8 @@ class TestAnalysisToMonitorLoop:
         """Offline analysis results populate the live monitor's database."""
         incentives = classify_top_publishers(dataset, groups)
         _fake_ips, fake_usernames, _ = detect_fake_publishers(dataset)
-        world = World.build(tiny_scenario("ingest"), seed=1)
-        monitor = ContentPublishingMonitor(world, EventScheduler())
+        world = World.build(tiny_scenario("ingest"), seed=1, metrics=MetricsRegistry())
+        monitor = ContentPublishingMonitor(world, EventScheduler(metrics=world.metrics))
         written = monitor.ingest_analysis(incentives, fake_usernames)
         assert written == len(incentives.profit_driven()) + len(fake_usernames)
         for key in incentives.profit_driven():

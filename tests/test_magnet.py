@@ -5,6 +5,7 @@ import base64
 
 import pytest
 
+from repro.observability import MetricsRegistry
 from repro.torrent import MagnetError, MagnetLink, build_magnet, parse_magnet
 
 INFOHASH = bytes(range(20))
@@ -79,7 +80,7 @@ class TestPortalMagnetOnly:
     def _portal(self):
         from repro.portal.portal import Portal, PortalConfig
 
-        return Portal(PortalConfig(name="TestBay"))
+        return Portal(PortalConfig(name="TestBay"), metrics=MetricsRegistry())
 
     def _publish(self, portal, **overrides):
         from repro.portal import Category

@@ -4,14 +4,17 @@ import pytest
 
 from repro.core.monitor import ContentPublishingMonitor
 from repro.core.storage import MonitorStore, PublicationRow, PublisherRow
+from repro.observability import MetricsRegistry
 from repro.simulation import World, tiny_scenario
 from repro.simulation.engine import EventScheduler
 
 
 @pytest.fixture(scope="module")
 def monitor_run():
-    world = World.build(tiny_scenario("monitor"), seed=55)
-    scheduler = EventScheduler()
+    world = World.build(
+        tiny_scenario("monitor"), seed=55, metrics=MetricsRegistry()
+    )
+    scheduler = EventScheduler(metrics=world.metrics)
     monitor = ContentPublishingMonitor(world, scheduler, poll_interval=10.0)
     monitor.run_until(world.config.window_minutes)
     return world, monitor
@@ -125,7 +128,8 @@ class TestMonitor:
     def test_single_tracker_connection_per_torrent(self, monitor_run):
         """Section 7: one connection to the tracker per new torrent."""
         world, monitor = monitor_run
-        assert world.tracker.announces_served <= monitor.publications_seen
+        served = world.metrics.counter("tracker.announces").value(result="served")
+        assert served <= monitor.publications_seen
 
     def test_flag_fake_flows_to_queries(self, monitor_run):
         _world, monitor = monitor_run
@@ -142,7 +146,9 @@ class TestMonitor:
     def test_poll_interval_validation(self, monitor_run):
         world, _monitor = monitor_run
         with pytest.raises(ValueError):
-            ContentPublishingMonitor(world, EventScheduler(), poll_interval=0)
+            ContentPublishingMonitor(
+                world, EventScheduler(metrics=world.metrics), poll_interval=0
+            )
 
 
 class TestContentVerificationFilter:
@@ -152,8 +158,10 @@ class TestContentVerificationFilter:
         from repro.simulation import World, tiny_scenario
         from repro.simulation.engine import EventScheduler
 
-        world = World.build(tiny_scenario("verify-filter"), seed=66)
-        scheduler = EventScheduler()
+        world = World.build(
+            tiny_scenario("verify-filter"), seed=66, metrics=MetricsRegistry()
+        )
+        scheduler = EventScheduler(metrics=world.metrics)
         monitor = ContentPublishingMonitor(
             world, scheduler, poll_interval=10.0, verify_content_fraction=1.0
         )
@@ -177,8 +185,12 @@ class TestContentVerificationFilter:
         from repro.simulation import World, tiny_scenario
         from repro.simulation.engine import EventScheduler
 
-        world = World.build(tiny_scenario("verify-val"), seed=1)
+        world = World.build(
+            tiny_scenario("verify-val"), seed=1, metrics=MetricsRegistry()
+        )
         with pytest.raises(ValueError):
             ContentPublishingMonitor(
-                world, EventScheduler(), verify_content_fraction=1.5
+                world,
+                EventScheduler(metrics=world.metrics),
+                verify_content_fraction=1.5,
             )

@@ -14,9 +14,6 @@ from repro.observability import (
     merge_snapshots,
     MetricsRegistry,
     TraceBuffer,
-    get_default_registry,
-    scoped_registry,
-    set_default_registry,
 )
 from repro.simulation.clock import Clock
 
@@ -231,26 +228,6 @@ class TestTraceBuffer:
         buffer.clear()
         assert buffer.dropped == 0
         assert buffer.recorded == 0
-
-
-class TestDefaultRegistry:
-    def test_scoped_registry_swaps_and_restores(self):
-        original = get_default_registry()
-        replacement = MetricsRegistry()
-        with scoped_registry(replacement) as active:
-            assert active is replacement
-            assert get_default_registry() is replacement
-        assert get_default_registry() is original
-
-    def test_set_default_returns_previous(self):
-        original = get_default_registry()
-        replacement = MetricsRegistry()
-        previous = set_default_registry(replacement)
-        try:
-            assert previous is original
-            assert get_default_registry() is replacement
-        finally:
-            set_default_registry(original)
 
 
 class TestMergeSnapshots:

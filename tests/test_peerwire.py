@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.observability import MetricsRegistry
 from repro.peerwire import (
     HANDSHAKE_LENGTH,
     BitfieldProber,
@@ -115,7 +116,7 @@ def test_bitfield_roundtrip_property(bits):
 
 class TestProber:
     def _swarm(self):
-        swarm = Swarm(infohash=IH, birth_time=0.0)
+        swarm = Swarm(infohash=IH, birth_time=0.0, metrics=MetricsRegistry())
         swarm.add_session(
             PeerSession(ip=1, join_time=0, leave_time=1000, complete_time=0,
                         is_publisher=True)

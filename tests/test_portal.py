@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.observability import MetricsRegistry
 from repro.portal import Portal, PortalConfig
 from repro.portal.accounts import AccountRegistry
 from repro.portal.categories import ALL_COARSE_GROUPS, Category, coarse_group
@@ -26,7 +27,7 @@ def publish(portal, time=10.0, username="alice", is_fake=False, **kwargs):
 
 @pytest.fixture
 def portal():
-    return Portal(PortalConfig(name="TestBay"))
+    return Portal(PortalConfig(name="TestBay"), metrics=MetricsRegistry())
 
 
 class TestCategories:
@@ -186,7 +187,10 @@ class TestPortal:
             portal.get_torrent_file(999, 0.0)
 
     def test_rss_username_omitted_when_configured(self):
-        portal = Portal(PortalConfig(name="Mininova", rss_includes_username=False))
+        portal = Portal(
+            PortalConfig(name="Mininova", rss_includes_username=False),
+            metrics=MetricsRegistry(),
+        )
         publish(portal)
         entries = portal.feed.entries_between(0.0, 100.0)
         assert entries[0].username is None

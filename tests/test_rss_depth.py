@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.core.collector import run_measurement
+from repro.observability import MetricsRegistry
 from repro.portal.categories import Category
 from repro.portal.rss import RssEntry, RssFeed
 from repro.simulation import CrawlerSettings, tiny_scenario
@@ -77,9 +78,9 @@ class TestCrawlerDiscoveryLoss:
         from repro.simulation import World
         from repro.simulation.engine import EventScheduler
 
-        world = World.build(slow_config, seed=17)
+        world = World.build(slow_config, seed=17, metrics=MetricsRegistry())
         world.portal.feed.depth = 5
-        scheduler = EventScheduler()
+        scheduler = EventScheduler(metrics=world.metrics)
         crawler = Crawler(world, scheduler, random.Random(1))
         crawler.start()
         scheduler.run_until(slow_config.horizon_minutes)

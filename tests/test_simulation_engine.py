@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.observability import MetricsRegistry
 from repro.simulation.clock import DAY, HOUR, MINUTE, WEEK, Clock, days, hours, minutes
 from repro.simulation.engine import EventScheduler
 
@@ -29,7 +30,7 @@ class TestClock:
 
 class TestScheduler:
     def test_runs_in_time_order(self):
-        scheduler = EventScheduler()
+        scheduler = EventScheduler(metrics=MetricsRegistry())
         order = []
         scheduler.schedule(10.0, order.append, "b")
         scheduler.schedule(5.0, order.append, "a")
@@ -39,7 +40,7 @@ class TestScheduler:
         assert scheduler.clock.now == 100.0
 
     def test_ties_run_in_schedule_order(self):
-        scheduler = EventScheduler()
+        scheduler = EventScheduler(metrics=MetricsRegistry())
         order = []
         for tag in ("first", "second", "third"):
             scheduler.schedule(7.0, order.append, tag)
@@ -47,7 +48,7 @@ class TestScheduler:
         assert order == ["first", "second", "third"]
 
     def test_run_until_stops_at_boundary(self):
-        scheduler = EventScheduler()
+        scheduler = EventScheduler(metrics=MetricsRegistry())
         fired = []
         scheduler.schedule(5.0, fired.append, 1)
         scheduler.schedule(15.0, fired.append, 2)
@@ -58,7 +59,7 @@ class TestScheduler:
         assert fired == [1, 2]
 
     def test_callbacks_can_reschedule(self):
-        scheduler = EventScheduler()
+        scheduler = EventScheduler(metrics=MetricsRegistry())
         ticks = []
 
         def tick():
@@ -71,26 +72,26 @@ class TestScheduler:
         assert ticks == [0.0, 10.0, 20.0, 30.0, 40.0, 50.0]
 
     def test_schedule_in_past_rejected(self):
-        scheduler = EventScheduler()
+        scheduler = EventScheduler(metrics=MetricsRegistry())
         scheduler.schedule(10.0, lambda: None)
         scheduler.run_until(10.0)
         with pytest.raises(ValueError, match="before now"):
             scheduler.schedule(5.0, lambda: None)
 
     def test_schedule_after_negative_rejected(self):
-        scheduler = EventScheduler()
+        scheduler = EventScheduler(metrics=MetricsRegistry())
         with pytest.raises(ValueError):
             scheduler.schedule_after(-1.0, lambda: None)
 
     def test_events_run_counter(self):
-        scheduler = EventScheduler()
+        scheduler = EventScheduler(metrics=MetricsRegistry())
         for i in range(5):
             scheduler.schedule(float(i), lambda: None)
         scheduler.run_until(10.0)
         assert scheduler.events_run == 5
 
     def test_run_all_with_cap(self):
-        scheduler = EventScheduler()
+        scheduler = EventScheduler(metrics=MetricsRegistry())
 
         def forever():
             scheduler.schedule_after(1.0, forever)
@@ -100,7 +101,7 @@ class TestScheduler:
             scheduler.run_all(max_events=100)
 
     def test_peek_time(self):
-        scheduler = EventScheduler()
+        scheduler = EventScheduler(metrics=MetricsRegistry())
         assert scheduler.peek_time() is None
         scheduler.schedule(3.0, lambda: None)
         assert scheduler.peek_time() == 3.0
@@ -112,25 +113,25 @@ class TestNonFiniteTimes:
     the heap's ordering invariant.  Non-finite times must be rejected."""
 
     def test_nan_rejected(self):
-        scheduler = EventScheduler()
+        scheduler = EventScheduler(metrics=MetricsRegistry())
         with pytest.raises(ValueError, match="non-finite"):
             scheduler.schedule(float("nan"), lambda: None)
 
     def test_inf_rejected(self):
-        scheduler = EventScheduler()
+        scheduler = EventScheduler(metrics=MetricsRegistry())
         for bad in (float("inf"), float("-inf")):
             with pytest.raises(ValueError, match="non-finite"):
                 scheduler.schedule(bad, lambda: None)
 
     def test_nan_delay_rejected(self):
-        scheduler = EventScheduler()
+        scheduler = EventScheduler(metrics=MetricsRegistry())
         with pytest.raises(ValueError, match="finite"):
             scheduler.schedule_after(float("nan"), lambda: None)
         with pytest.raises(ValueError, match="finite"):
             scheduler.schedule_after(float("inf"), lambda: None)
 
     def test_heap_stays_ordered_after_rejection(self):
-        scheduler = EventScheduler()
+        scheduler = EventScheduler(metrics=MetricsRegistry())
         order = []
         scheduler.schedule(2.0, order.append, "b")
         with pytest.raises(ValueError):
@@ -142,8 +143,6 @@ class TestNonFiniteTimes:
 
 class TestSchedulerMetrics:
     def test_events_and_heap_depth_instrumented(self):
-        from repro.observability import MetricsRegistry
-
         registry = MetricsRegistry()
         scheduler = EventScheduler(metrics=registry)
         for i in range(4):
@@ -156,8 +155,6 @@ class TestSchedulerMetrics:
         assert registry.gauge("engine.sim_time_minutes").value() == 10.0
 
     def test_callback_wall_timing_labeled(self):
-        from repro.observability import MetricsRegistry
-
         # wall_sample_interval=1 times every callback (the pre-sampling
         # behaviour); the default of 16 is covered separately below.
         registry = MetricsRegistry(wall_sample_interval=1)
@@ -175,8 +172,6 @@ class TestSchedulerMetrics:
         assert histogram.count(callback=label) == 2
 
     def test_callback_wall_timing_sampled_by_default(self):
-        from repro.observability import MetricsRegistry
-
         registry = MetricsRegistry()  # default wall_sample_interval=16
         scheduler = EventScheduler(metrics=registry)
 
@@ -198,8 +193,6 @@ class TestSchedulerMetrics:
         assert registry.histogram("engine.heap_depth").count() == 48
 
     def test_heap_depth_sampling_knob(self):
-        from repro.observability import MetricsRegistry
-
         registry = MetricsRegistry(sim_sample_interval=4)
         scheduler = EventScheduler(metrics=registry)
         for i in range(8):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.observability import MetricsRegistry
 from repro.swarm import (
     DownloaderBehavior,
     PeerSession,
@@ -16,7 +17,7 @@ IH = b"\x11" * 20
 
 
 def make_swarm(sessions):
-    swarm = Swarm(infohash=IH, birth_time=0.0)
+    swarm = Swarm(infohash=IH, birth_time=0.0, metrics=MetricsRegistry())
     swarm.add_sessions(sessions)
     swarm.freeze()
     return swarm
@@ -151,7 +152,7 @@ class TestSwarmQueries:
 
     def test_infohash_validation(self):
         with pytest.raises(ValueError):
-            Swarm(infohash=b"short", birth_time=0)
+            Swarm(infohash=b"short", birth_time=0, metrics=MetricsRegistry())
 
     def test_add_after_freeze_rejected(self):
         swarm = make_swarm([])
@@ -217,6 +218,7 @@ class TestChurn:
             popularity=PopularityModel(total_downloads=100, decay_tau=100.0),
             behavior=DownloaderBehavior(),
             mint_ip=lambda: next(counter),
+            metrics=MetricsRegistry(),
         )
         assert len(sessions) == 100
         assert len({s.ip for s in sessions}) == 100
@@ -232,6 +234,7 @@ class TestChurn:
             ),
             behavior=DownloaderBehavior(),
             mint_ip=lambda: next(counter),
+            metrics=MetricsRegistry(),
         )
         assert 0 < len(sessions) < 500
         assert all(s.join_time <= 50.0 for s in sessions)
@@ -245,6 +248,7 @@ class TestChurn:
             popularity=PopularityModel(total_downloads=200, decay_tau=10.0),
             behavior=DownloaderBehavior(fake_content=True),
             mint_ip=lambda: next(counter),
+            metrics=MetricsRegistry(),
         )
         assert sessions
         assert all(s.complete_time is None for s in sessions)
@@ -258,6 +262,7 @@ class TestChurn:
             popularity=PopularityModel(total_downloads=300, decay_tau=10.0),
             behavior=DownloaderBehavior(seed_probability=0.5),
             mint_ip=lambda: next(counter),
+            metrics=MetricsRegistry(),
         )
         completed = [s for s in sessions if s.complete_time is not None]
         assert len(completed) > 100

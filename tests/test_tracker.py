@@ -34,11 +34,12 @@ def make_tracker(min_interval=10.0, max_interval=15.0, blacklist=5):
             max_interval=max_interval,
             blacklist_threshold=blacklist,
         ),
+        metrics=MetricsRegistry(),
     )
 
 
 def make_swarm(n_peers=5, n_seeders=1):
-    swarm = Swarm(infohash=IH, birth_time=0.0)
+    swarm = Swarm(infohash=IH, birth_time=0.0, metrics=MetricsRegistry())
     for i in range(n_seeders):
         swarm.add_session(
             PeerSession(ip=1000 + i, join_time=0, leave_time=10_000,
@@ -118,7 +119,10 @@ class TestTrackerServer:
 
     def test_numwant_capped_at_config(self):
         tracker = Tracker(
-            "http://t.sim/a", random.Random(0), TrackerConfig(max_numwant=3)
+            "http://t.sim/a",
+            random.Random(0),
+            TrackerConfig(max_numwant=3),
+            metrics=MetricsRegistry(),
         )
         tracker.register_swarm(make_swarm(n_peers=10))
         raw = tracker.announce(
@@ -179,7 +183,7 @@ class TestTrackerServer:
 
     def test_scrape(self):
         tracker = make_tracker()
-        swarm = Swarm(infohash=IH, birth_time=0.0)
+        swarm = Swarm(infohash=IH, birth_time=0.0, metrics=MetricsRegistry())
         swarm.add_session(
             PeerSession(ip=1, join_time=0, leave_time=100, complete_time=0,
                         is_publisher=True)
@@ -213,6 +217,17 @@ class TestWireFidelity:
     same failure messages -- only the per-announce serialisation differs."""
 
     @staticmethod
+    def _results(tracker):
+        """``tracker.announces`` by result label, e.g. {"result=served": 8}."""
+        return tracker.metrics.snapshot()["tracker.announces"]["values"]
+
+    @staticmethod
+    def _responses_encoded(tracker):
+        """Responses that went through the codec: every byte-path announce,
+        and each checked sample on the object path."""
+        return tracker.metrics.histogram("tracker.response_bytes").count()
+
+    @staticmethod
     def _paired_trackers(**config_kwargs):
         # Same seed, structurally identical swarms: the two trackers see
         # identical rng streams and identical swarm timelines.
@@ -244,7 +259,9 @@ class TestWireFidelity:
             from_bytes = decode_announce_response(full.announce(request, now))
             from_object = sampled.announce_object(request, now)
             assert from_object == from_bytes
-        assert full.announces_served == sampled.announces_served == 8
+        assert self._results(full) == self._results(sampled) == {
+            "result=served": 8
+        }
 
     def test_rejections_raise_with_byte_path_message(self):
         full, sampled = self._paired_trackers()
@@ -254,7 +271,9 @@ class TestWireFidelity:
         with pytest.raises(TrackerError) as from_object:
             sampled.announce_object(unknown, 1.0)
         assert str(from_object.value) == str(from_bytes.value)
-        assert full.announces_rejected == sampled.announces_rejected == 1
+        assert self._results(full) == self._results(sampled) == {
+            "result=rejected_unknown": 1
+        }
 
     def test_rate_limit_parity(self):
         full, sampled = self._paired_trackers(min_interval=10.0)
@@ -303,7 +322,7 @@ class TestWireFidelity:
             sampled.announce_object(
                 AnnounceRequest(infohash=b"\x44" * 20, client_ip=CLIENT), 10.0
             )
-        assert sampled.wire_samples_checked == 6
+        assert self._responses_encoded(sampled) == 6
 
     def test_sampling_interval_respected(self):
         _, sampled = self._paired_trackers(wire_sample_interval=4)
@@ -311,7 +330,7 @@ class TestWireFidelity:
             sampled.announce_object(
                 AnnounceRequest(infohash=IH, client_ip=CLIENT + step), 1.0 + step
             )
-        assert sampled.wire_samples_checked == 2  # messages 4 and 8
+        assert self._responses_encoded(sampled) == 2  # messages 4 and 8
 
     def test_byte_path_never_samples(self):
         full, _ = self._paired_trackers(wire_sample_interval=1)
@@ -319,7 +338,8 @@ class TestWireFidelity:
             full.announce(
                 AnnounceRequest(infohash=IH, client_ip=CLIENT + step), 1.0 + step
             )
-        assert full.wire_samples_checked == 0
+        # One encoding per response; no extra round-trip check.
+        assert self._responses_encoded(full) == 5
 
     def test_announce_counters_identical(self):
         full, sampled = self._paired_trackers()

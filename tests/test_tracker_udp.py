@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.observability import MetricsRegistry
 from repro.swarm import PeerSession, Swarm
 from repro.tracker import Tracker, TrackerConfig
 from repro.tracker.udp import (
@@ -28,8 +29,10 @@ CLIENT = 0x0A000005
 
 
 def make_endpoint(n_peers=6):
-    tracker = Tracker("udp://t.sim:80", random.Random(0), TrackerConfig())
-    swarm = Swarm(infohash=IH, birth_time=0.0)
+    tracker = Tracker(
+        "udp://t.sim:80", random.Random(0), TrackerConfig(), metrics=MetricsRegistry()
+    )
+    swarm = Swarm(infohash=IH, birth_time=0.0, metrics=MetricsRegistry())
     swarm.add_session(
         PeerSession(ip=900, join_time=0, leave_time=10_000, complete_time=0,
                     is_publisher=True)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.agents.profiles import PublisherClass
 from repro.geoip import IspKind
+from repro.observability import MetricsRegistry
 from repro.simulation import World, tiny_scenario
 from repro.simulation.clock import DAY
 from repro.torrent import parse_torrent
@@ -11,14 +12,14 @@ from repro.torrent import parse_torrent
 
 class TestWorldBuild:
     def test_deterministic_from_seed(self, world):
-        rebuilt = World.build(tiny_scenario(), seed=7)
+        rebuilt = World.build(tiny_scenario(), seed=7, metrics=MetricsRegistry())
         assert len(rebuilt.truth.torrents) == len(world.truth.torrents)
         assert [t.infohash for t in rebuilt.truth.torrents[:20]] == [
             t.infohash for t in world.truth.torrents[:20]
         ]
 
     def test_different_seed_differs(self, world):
-        other = World.build(tiny_scenario(), seed=8)
+        other = World.build(tiny_scenario(), seed=8, metrics=MetricsRegistry())
         assert [t.infohash for t in other.truth.torrents[:20]] != [
             t.infohash for t in world.truth.torrents[:20]
         ]
