@@ -11,6 +11,9 @@ Stages (all per-rep wall seconds):
   piece derivation on a cold cache;
 - ``crawl``: the event-scheduler run over the measurement window;
 - ``analysis``: headline statistics over the finished dataset;
+- ``crawl_sampled``: the same crawl with ``wire_fidelity="sampled"``, so
+  the report can show what the full wire path costs over the object path
+  (:func:`format_bench` prints the full/sampled ratio);
 - ``campaign_cell``: the full :func:`run_campaign_cell` (what the sweep
   runner multiplies by scenarios x seeds);
 - ``sweep``: a 2-seed serial sweep with ``wire_fidelity="sampled"`` (the
@@ -127,25 +130,37 @@ def run_bench(
     # crawl + analysis: timed inside one full measurement per rep.  The
     # world is rebuilt each rep (cheap now) because swarm query state is
     # consumed by a crawl and cannot be rewound.
-    crawl_times: List[float] = []
-    analysis_times: List[float] = []
-    report(f"[bench] crawl/analysis x{reps}")
-    for _rep in range(reps):
+    def measure(wire_fidelity: Optional[str]):
+        """One measurement: (crawl seconds, dataset, world)."""
         registry = MetricsRegistry()
         started = time.perf_counter()
         dataset, world = run_measurement_with_world(
-            build_scenario(scenario), seed=seed, metrics=registry
+            build_scenario(scenario, wire_fidelity=wire_fidelity),
+            seed=seed,
+            metrics=registry,
         )
         total = time.perf_counter() - started
         build_summary = registry.histogram(
             "campaign.build_world_wall_ms"
         ).summary()
-        crawl_times.append(total - build_summary.get("sum", 0.0) / 1000.0)
+        return total - build_summary.get("sum", 0.0) / 1000.0, dataset, world
+
+    # The sampled crawl alternates with the full one, so drift in host
+    # speed moves both sides of the full/sampled ratio alike.
+    crawl_times: List[float] = []
+    analysis_times: List[float] = []
+    sampled_times: List[float] = []
+    report(f"[bench] crawl/analysis/crawl_sampled x{reps}")
+    for _rep in range(reps):
+        crawl_seconds, dataset, world = measure(None)
+        crawl_times.append(crawl_seconds)
         started = time.perf_counter()
         headline_stats(dataset, world)
         analysis_times.append(time.perf_counter() - started)
+        sampled_times.append(measure("sampled")[0])
     stages["crawl"] = _stage_entry(crawl_times)
     stages["analysis"] = _stage_entry(analysis_times)
+    stages["crawl_sampled"] = _stage_entry(sampled_times)
 
     def cell() -> None:
         run_campaign_cell(CellSpec(scenario=scenario, seed=seed))
@@ -235,4 +250,10 @@ def format_bench(payload: Dict[str, Any]) -> str:
             f"{entry['best_seconds']:>8.3f} {entry['mean_seconds']:>8.3f} "
             f"{'-':>8} {'-':>8}"
         )
+    stages = payload["stages"]
+    if "crawl" in stages and "crawl_sampled" in stages:
+        ratio = (
+            stages["crawl"]["best_seconds"] / stages["crawl_sampled"]["best_seconds"]
+        )
+        lines.append(f"crawl full/sampled (best): {ratio:.2f}x")
     return "\n".join(lines)

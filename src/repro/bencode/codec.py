@@ -18,8 +18,9 @@ round-tripping.
 convenience; decoding always returns ``bytes`` keys/values, as real
 BitTorrent implementations do.
 
-This is the campaign's hottest codec -- every simulated tracker announce
-round-trips through it -- so the implementation is tuned:
+Metainfo, KRPC messages and every non-canonical tracker response go
+through this codec (canonical announce responses take a fixed-shape path
+in :mod:`repro.tracker.protocol`), so the implementation is tuned:
 
 - :func:`bdecode` is non-recursive (an explicit container stack), compares
   single bytes as integers instead of allocating 1-byte slices, and accepts
@@ -30,7 +31,7 @@ round-trips through it -- so the implementation is tuned:
   that path and in lists, ``bytes`` and exact-``int`` items are emitted
   inline instead of through a recursive call.
 
-:mod:`repro.bencode.reference` retains the original recursive codec, and
+``tests/bencode_reference.py`` retains the original recursive codec, and
 property tests assert the two agree on every value and on every malformed
 input class.
 """

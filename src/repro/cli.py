@@ -29,7 +29,8 @@ Subcommands:
 ``appendix``
     Evaluate the Appendix A model for given (N, W, spacing, confidence).
 ``bench``
-    Time the world-build / crawl / analysis / campaign-cell / sweep stages
+    Time the world-build / crawl / crawl-sampled / analysis / campaign-cell /
+    sweep stages
     over a fixed scenario and write a schema-versioned ``BENCH_<n>.json``
     perf-trajectory data point (``--quick`` for the CI smoke variant).
 """

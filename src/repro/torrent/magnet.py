@@ -118,6 +118,6 @@ def _decode_btih(encoded: str) -> bytes:
     if len(encoded) == 32:
         try:
             return base64.b32decode(encoded.upper())
-        except binascii.Error as exc:
+        except ValueError as exc:  # binascii.Error, or a non-ASCII topic
             raise MagnetError(f"bad base32 infohash {encoded!r}") from exc
     raise MagnetError(f"infohash must be 40 hex or 32 base32 chars, got {len(encoded)}")

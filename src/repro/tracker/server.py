@@ -46,13 +46,13 @@ class TrackerConfig:
     # rate-limit penalty; the client simply retries later).  Real trackers
     # of the era shed load exactly like this.
     failure_probability: float = 0.0
-    # Wire fidelity.  "full" serialises every announce through the bencode
-    # codec, exactly as the real HTTP tracker protocol would.  "sampled"
-    # hands the in-process crawler :class:`AnnounceResponse` objects and
-    # only round-trips 1-in-``wire_sample_interval`` responses through the
-    # codec, asserting the round trip is lossless each time -- the policy
-    # outcome (peers, counts, intervals, rng stream) is identical either
-    # way, only the serialisation work is skipped.
+    # Wire fidelity.  "full" serialises every announce to bencoded bytes and
+    # parses them back, exactly as the real HTTP tracker protocol would.
+    # "sampled" hands the in-process crawler :class:`AnnounceResponse`
+    # objects and only round-trips 1-in-``wire_sample_interval`` responses
+    # through the codec, asserting the round trip is lossless each time --
+    # the policy outcome (peers, counts, intervals, rng stream) is identical
+    # either way, only the serialisation work is skipped.
     wire_fidelity: str = "full"
     wire_sample_interval: int = 64
 
@@ -153,10 +153,11 @@ class Tracker:
     def _policy(self, request: AnnounceRequest, now: float):
         """Announce policy, independent of wire serialisation.
 
-        Returns ``("served", AnnounceResponse)`` or ``(reject_reason,
-        failure_message)``.  All rng draws (overload check, swarm sampling,
-        interval jitter) happen here in a fixed order, so the byte path and
-        the object path consume the rng stream identically.
+        Returns ``("served", (SwarmSnapshot, interval_seconds))`` or
+        ``(reject_reason, failure_message)``.  All rng draws (overload
+        check, swarm sampling, interval jitter) happen here in a fixed
+        order, so the byte path and the object path consume the rng stream
+        identically.
         """
         if request.client_ip in self._blacklist:
             return "rejected_banned", "client banned"
@@ -194,16 +195,7 @@ class Tracker:
             self.config.min_interval + span * load_factor + jitter,
             self.config.max_interval,
         )
-        response = AnnounceResponse(
-            interval_seconds=int(round(interval_minutes * 60)),
-            seeders=snapshot.num_seeders,
-            leechers=snapshot.num_leechers,
-            peers=[
-                (peer.ip & 0xFFFFFFFF, peer_port_for_ip(peer.ip))
-                for peer in snapshot.peers
-            ],
-        )
-        return "served", response
+        return "served", (snapshot, int(round(interval_minutes * 60)))
 
     def announce(self, request: AnnounceRequest, now: float) -> bytes:
         """Handle one announce; returns bencoded response bytes."""
@@ -211,11 +203,12 @@ class Tracker:
         if outcome != "served":
             return self._reject(outcome, encode_failure(payload))
         self._m_served.inc()
+        snapshot, interval_seconds = payload
         response = encode_announce_success(
-            interval_seconds=payload.interval_seconds,
-            seeders=payload.seeders,
-            leechers=payload.leechers,
-            ips=[ip for ip, _port in payload.peers],
+            interval_seconds,
+            snapshot.num_seeders,
+            snapshot.num_leechers,
+            [peer.ip for peer in snapshot.peers],
         )
         self._m_response_bytes.observe(len(response))
         return response
@@ -244,9 +237,19 @@ class Tracker:
                 self._check_failure_roundtrip(payload)
             raise TrackerError(payload)
         self._m_served.inc()
+        snapshot, interval_seconds = payload
+        response = AnnounceResponse(
+            interval_seconds=interval_seconds,
+            seeders=snapshot.num_seeders,
+            leechers=snapshot.num_leechers,
+            peers=[
+                (peer.ip & 0xFFFFFFFF, peer_port_for_ip(peer.ip))
+                for peer in snapshot.peers
+            ],
+        )
         if sample:
-            self._check_success_roundtrip(payload)
-        return payload
+            self._check_success_roundtrip(response)
+        return response
 
     def _check_failure_roundtrip(self, message: str) -> None:
         wire = encode_failure(message)

@@ -75,6 +75,19 @@ class TestBenchFiles:
         assert "world_build" in table
         assert "unreferenced_stage" in table  # no reference -> dashes, no crash
         assert f"{REFERENCE_STAGES['world_build'] / 0.1:.2f}x" in table
+        # No crawl pair in this payload, so no ratio line.
+        assert "full/sampled" not in table
+
+    def test_format_bench_prints_full_over_sampled_crawl(self):
+        payload = _synthetic_payload()
+        for name, best in (("crawl", 0.9), ("crawl_sampled", 0.6)):
+            payload["stages"][name] = {
+                "reps_seconds": [best],
+                "cold_seconds": best,
+                "best_seconds": best,
+                "mean_seconds": best,
+            }
+        assert "crawl full/sampled (best): 1.50x" in format_bench(payload)
 
 
 class TestRunBench:
@@ -96,6 +109,7 @@ class TestRunBench:
             "analysis",
             "campaign_cell",
             "crawl",
+            "crawl_sampled",
             "world_build",
         ]
         for entry in payload["stages"].values():
@@ -103,7 +117,11 @@ class TestRunBench:
             assert entry["cold_seconds"] == entry["reps_seconds"][0]
             assert entry["best_seconds"] == min(entry["reps_seconds"])
             assert entry["best_seconds"] > 0
-        assert set(payload["speedup_vs_reference"]) == set(payload["stages"])
+        # The pre-optimisation reference predates the sampled wire mode.
+        assert set(payload["speedup_vs_reference"]) == (
+            set(payload["stages"]) - {"crawl_sampled"}
+        )
+        assert "crawl full/sampled (best): " in format_bench(payload)
         assert payload["host"]["python"]
         assert any("world_build" in m for m in messages)
         # And the payload is exactly what lands on disk.

@@ -3,7 +3,7 @@
 The hot-path rewrite of :mod:`repro.bencode.codec` (non-recursive decoder,
 sorted-bytes-keys encoder fast path, zero-copy buffer handling) is only
 safe because the infohash is defined over canonical bencode bytes.  These
-tests pin the optimised codec to :mod:`repro.bencode.reference` -- the
+tests pin the optimised codec to ``tests/bencode_reference.py`` -- the
 original recursive implementation -- three ways:
 
 - property tests: both encoders emit identical bytes for every random
@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bencode import BencodeError, bdecode, bencode
-from repro.bencode.reference import bdecode_reference, bencode_reference
+from tests.bencode_reference import bdecode_reference, bencode_reference
 
 # ----------------------------------------------------------------------
 # Value strategies.  Bytes-only keys/values decode to themselves, so the

@@ -67,6 +67,7 @@ class TestParse:
             "magnet:?xt=urn:btih:zzzz",
             "magnet:?xt=urn:btih:" + "zz" * 20,
             "magnet:?xt=urn:btih:" + "00" * 19,
+            "magnet:?xt=urn:btih:" + "0" * 31 + "\x80",  # non-ASCII base32
             "magnet:?xt=urn:btih:" + "00" * 20 + "&xl=notanumber",
             "magnet:?xt=urn:btih:" + "00" * 20 + "&xl=-2",
         ],

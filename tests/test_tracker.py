@@ -90,6 +90,26 @@ class TestProtocolCodec:
         with pytest.raises(TrackerError, match="missing"):
             decode_announce_response(bencode({"interval": 1}))
 
+    def test_non_bytes_failure_reason_rejected(self):
+        with pytest.raises(TrackerError, match="failure reason"):
+            decode_announce_response(b"d14:failure reasoni1ee")
+        with pytest.raises(TrackerError, match="failure reason"):
+            decode_scrape_response(b"d14:failure reasoni1ee")
+
+    def test_non_int_interval_rejected(self):
+        with pytest.raises(TrackerError, match="'interval' is not an integer"):
+            decode_announce_response(
+                b"d8:completei1e10:incompletei1e8:interval3:abc5:peers0:e"
+            )
+
+    def test_scrape_non_int_count_rejected(self):
+        with pytest.raises(TrackerError, match="'complete' is not an integer"):
+            decode_scrape_response(b"d5:filesd20:" + IH + b"d8:complete1:xeee")
+
+    def test_scrape_short_infohash_rejected(self):
+        with pytest.raises(TrackerError, match="20 bytes"):
+            decode_scrape_response(b"d5:filesd3:abcd8:completei1eeee")
+
     def test_request_validation(self):
         with pytest.raises(ValueError):
             AnnounceRequest(infohash=b"short", client_ip=1)
