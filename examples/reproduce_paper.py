@@ -13,7 +13,8 @@ and takes a couple of minutes; --scale 0.3 --pop 0.3 gives a fast preview.
 
 ``--report-json`` additionally writes a structured per-campaign run report
 (dataset summaries + the full observability snapshot of every campaign) so
-successive runs can accumulate BENCH_*.json-style trajectories.
+successive runs can be compared.  Timing belongs to the repository
+benchmark, ``perfbench/run.py``.
 """
 
 import argparse

@@ -28,11 +28,6 @@ Subcommands:
     print the database view.
 ``appendix``
     Evaluate the Appendix A model for given (N, W, spacing, confidence).
-``bench``
-    Time the world-build / crawl / crawl-sampled / analysis / campaign-cell /
-    sweep stages
-    over a fixed scenario and write a schema-versioned ``BENCH_<n>.json``
-    perf-trajectory data point (``--quick`` for the CI smoke variant).
 """
 
 from __future__ import annotations
@@ -271,25 +266,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.benchmarking import format_bench, run_bench, write_bench
-
-    payload = run_bench(
-        scenario=args.scenario,
-        seed=args.seed,
-        reps=args.reps,
-        quick=args.quick,
-        progress=print,
-    )
-    print()
-    print(format_bench(payload))
-    if args.no_write:
-        return 0
-    path = write_bench(payload, output_dir=args.output_dir)
-    print(f"\nbench written to {path}")
-    return 0
-
-
 def _cmd_appendix(args: argparse.Namespace) -> int:
     m = required_queries(args.n, args.w, args.confidence)
     threshold = offline_threshold(args.n, args.w, args.spacing, args.confidence)
@@ -403,36 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of new torrents to hash-verify (fake filter)",
     )
     monitor_parser.set_defaults(func=_cmd_monitor)
-
-    bench_parser = sub.add_parser(
-        "bench",
-        help="time the pipeline stages and record a BENCH_<n>.json "
-        "perf-trajectory data point",
-    )
-    bench_parser.add_argument(
-        "--scenario", type=_scenario_name, default="tiny",
-        metavar="{" + ",".join(sorted(SCENARIO_FACTORIES)) + "}",
-        help="scenario to time (default tiny)",
-    )
-    bench_parser.add_argument("--seed", type=_seed_value, default=7,
-                              help="world seed (default 7)")
-    bench_parser.add_argument(
-        "--reps", type=int, default=3,
-        help="reps per stage; rep 0 runs with a cold piece cache (default 3)",
-    )
-    bench_parser.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke mode: at most 2 reps, skip the sweep stage",
-    )
-    bench_parser.add_argument(
-        "--output-dir", default=".",
-        help="directory for the BENCH_<n>.json file (default .)",
-    )
-    bench_parser.add_argument(
-        "--no-write", action="store_true",
-        help="print the stage table without writing a BENCH file",
-    )
-    bench_parser.set_defaults(func=_cmd_bench)
 
     appendix_parser = sub.add_parser("appendix", help="evaluate the Appendix "
                                      "A session model")

@@ -23,9 +23,11 @@ publisher IP) to keep the ISP analyses working standalone via
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import sqlite3
+from pathlib import Path
 from typing import Dict, Optional
 
 from repro.core.datasets import Dataset, IdentificationOutcome, TorrentRecord
@@ -193,9 +195,13 @@ def load_dataset(
     ``dataset_services`` (typically the original dataset, or one built from
     the same world) donates the live lookup services; without it, GeoIP is
     reconstructed from the archive and portal/web-directory-dependent
-    analyses are unavailable (set to None).
+    analyses are unavailable (set to None).  A missing ``path`` raises
+    :class:`FileNotFoundError`; the archive is opened read-only, so loading
+    never creates or modifies a file.
     """
-    conn = sqlite3.connect(path)
+    if not os.path.exists(path):
+        raise FileNotFoundError(errno.ENOENT, "no archive", path)
+    conn = sqlite3.connect(Path(path).absolute().as_uri() + "?mode=ro", uri=True)
     try:
         meta = dict(conn.execute("SELECT key, value FROM meta").fetchall())
         version = meta.get("schema_version", "1")

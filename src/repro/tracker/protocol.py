@@ -32,15 +32,12 @@ class AnnounceRequest:
     infohash: bytes
     client_ip: int
     numwant: int = 200
-    event: str = ""  # "", "started", "stopped", "completed"
 
     def __post_init__(self) -> None:
         if len(self.infohash) != 20:
             raise ValueError("infohash must be 20 bytes")
         if self.numwant < 0:
             raise ValueError("numwant must be >= 0")
-        if self.event not in ("", "started", "stopped", "completed"):
-            raise ValueError(f"unknown event {self.event!r}")
 
 
 @dataclass(frozen=True)

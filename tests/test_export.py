@@ -90,6 +90,21 @@ class TestStandaloneLoad:
         assert loaded.geoip.isp_of(1) is None
 
 
+class TestLoadPath:
+    def test_missing_path_raises_and_creates_nothing(self, tmp_path):
+        path = tmp_path / "absent.sqlite"
+        with pytest.raises(FileNotFoundError, match="absent.sqlite"):
+            load_dataset(str(path))
+        assert not path.exists()
+
+    def test_uri_special_characters_in_path(self, dataset, archive_path, tmp_path):
+        # The read-only open goes through a file: URI; the path must be quoted.
+        path = tmp_path / "odd name?#%20.sqlite"
+        shutil.copyfile(archive_path, path)
+        loaded = load_dataset(str(path))
+        assert set(loaded.records) == set(dataset.records)
+
+
 def _rewrite_meta(source, target, drop=(), put=None):
     """Copy the archive at ``source`` to ``target`` and edit its meta rows."""
     shutil.copyfile(source, target)

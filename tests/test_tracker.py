@@ -115,8 +115,6 @@ class TestProtocolCodec:
             AnnounceRequest(infohash=b"short", client_ip=1)
         with pytest.raises(ValueError):
             AnnounceRequest(infohash=IH, client_ip=1, numwant=-1)
-        with pytest.raises(ValueError):
-            AnnounceRequest(infohash=IH, client_ip=1, event="bogus")
 
 
 class TestTrackerServer:
