@@ -10,6 +10,8 @@ numbers of e-books") and the planned fake-publisher filter.
     python examples/live_monitor.py
 """
 
+import random
+
 from repro.core.analysis.mapping import detect_fake_publishers
 from repro.core.collector import run_measurement_with_world
 from repro.core.monitor import ContentPublishingMonitor
@@ -24,7 +26,7 @@ def main() -> None:
     world = World.build(config, seed=77, metrics=MetricsRegistry())
     scheduler = EventScheduler(metrics=world.metrics)
     monitor = ContentPublishingMonitor(
-        world, scheduler, poll_interval=5.0,
+        world, scheduler, rng=random.Random(0xB17), poll_interval=5.0,
         # The paper's future-work fake filter, realised: verify a sample of
         # pieces of every 4th new torrent against its metainfo hashes.
         verify_content_fraction=0.25,

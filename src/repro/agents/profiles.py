@@ -48,13 +48,6 @@ class PublisherClass(enum.Enum):
             PublisherClass.TOP_ALTRUISTIC,
         )
 
-    @property
-    def is_profit_driven(self) -> bool:
-        return self in (
-            PublisherClass.TOP_BT_PORTAL,
-            PublisherClass.TOP_WEB_PROMOTER,
-        )
-
 
 class IpPolicy(enum.Enum):
     """How a publisher maps to IP addresses (Section 3.3's taxonomy)."""

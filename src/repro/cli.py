@@ -35,6 +35,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
+import random
 import sys
 from typing import List, Optional
 
@@ -75,6 +77,17 @@ def _seed_value(value: str) -> int:
     if seed < 0:
         raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
     return seed
+
+
+def _positive_float(value: str) -> float:
+    """Argparse type for a finite number > 0."""
+    try:
+        number = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {value!r}")
+    if not (math.isfinite(number) and number > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {value!r}")
+    return number
 
 
 def _scenario_from_args(args: argparse.Namespace):
@@ -167,6 +180,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     monitor = ContentPublishingMonitor(
         world,
         EventScheduler(metrics=world.metrics),
+        rng=random.Random(args.seed),
         verify_content_fraction=args.verify,
     )
     monitor.run_until(config.window_minutes)
@@ -371,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     monitor_parser = sub.add_parser("monitor", help="run the Section 7 live "
                                     "monitoring application")
-    monitor_parser.add_argument("--days", type=float, default=4.0)
-    monitor_parser.add_argument("--seed", type=int, default=2010)
+    monitor_parser.add_argument("--days", type=_positive_float, default=4.0)
+    monitor_parser.add_argument("--seed", type=_seed_value, default=2010)
     monitor_parser.add_argument("--limit", type=int, default=10)
     monitor_parser.add_argument(
         "--verify", type=float, default=0.0,

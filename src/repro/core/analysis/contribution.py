@@ -8,7 +8,7 @@ contribute roughly 40% of published content."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from repro.core.datasets import Dataset
 from repro.stats.summaries import gini, top_share_curve
@@ -119,8 +119,3 @@ def analyze_contribution(
         top_k_no_download_fraction=no_download,
         top_k_under5_download_fraction=under5,
     )
-
-
-def curve_rows(report: ContributionReport) -> List[Tuple[float, float]]:
-    """The Fig. 1 series as printable rows."""
-    return [(x, share) for x, share in report.curve]

@@ -276,31 +276,18 @@ class Crawler:
             return
         now = self.scheduler.clock.now
         result = self._dht_lookup(record, now)
-        if not self._use_tracker and self._identification_pending(record, now):
-            self._attempt_identification(record, result, now)
-        if not self._use_tracker:
-            # The DHT is the primary channel: it drives the stop rule, just
-            # as consecutive empty tracker replies do on the tracker path.
-            if result.total_peers == 0:
-                record.empty_streak += 1
-            else:
-                record.empty_streak = 0
-            if record.empty_streak >= self.settings.empty_replies_to_stop:
-                record.done = True
-                record.monitoring_ended = now
-                self._m_monitor_stops.inc(reason="empty_replies")
-                self.metrics.trace.record(
-                    now, "crawler.monitor_stop", torrent_id=torrent_id,
-                    reason="empty_replies",
-                )
-                return
         at = now + self.settings.dht_poll_interval
-        if at <= self._hard_stop:
+        if self._use_tracker:
+            # Hybrid: the tracker polls drive the stop rule.
+            if at <= self._hard_stop:
+                self.scheduler.schedule(at, self._dht_monitor_poll, torrent_id)
+            return
+        if self._identification_pending(record, now):
+            self._attempt_identification(record, result, now)
+        # The DHT is the primary channel: it drives the stop rule, just as
+        # tracker replies do on the tracker path.
+        if self._keep_monitoring(record, result.total_peers, now, at):
             self.scheduler.schedule(at, self._dht_monitor_poll, torrent_id)
-        elif not self._use_tracker:
-            record.done = True
-            record.monitoring_ended = self._hard_stop
-            self._m_monitor_stops.inc(reason="horizon")
 
     # ------------------------------------------------------------------
     # Identification
@@ -372,7 +359,22 @@ class Crawler:
         if self._identification_pending(record, now):
             self._attempt_identification(record, response, now)
 
-        if response.total_peers == 0:
+        interval = max(response.interval_seconds / 60.0,
+                       self.world.tracker.config.min_interval)
+        at = now + interval
+        if self._keep_monitoring(record, response.total_peers, now, at):
+            self.scheduler.schedule(at, self._monitor_poll, torrent_id, vantage)
+
+    def _keep_monitoring(
+        self, record: TorrentRecord, total_peers: int, now: float, next_at: float
+    ) -> bool:
+        """The stop rule, applied after each monitoring reply.
+
+        Monitoring ends after ``empty_replies_to_stop`` consecutive empty
+        replies, or when the next poll at ``next_at`` would fall past the
+        horizon.  Returns True when the caller should poll again.
+        """
+        if total_peers == 0:
             record.empty_streak += 1
         else:
             record.empty_streak = 0
@@ -381,20 +383,16 @@ class Crawler:
             record.monitoring_ended = now
             self._m_monitor_stops.inc(reason="empty_replies")
             self.metrics.trace.record(
-                now, "crawler.monitor_stop", torrent_id=torrent_id,
+                now, "crawler.monitor_stop", torrent_id=record.torrent_id,
                 reason="empty_replies",
             )
-            return
-
-        interval = max(response.interval_seconds / 60.0,
-                       self.world.tracker.config.min_interval)
-        at = now + interval
-        if at <= self._hard_stop:
-            self.scheduler.schedule(at, self._monitor_poll, torrent_id, vantage)
-        else:
-            record.done = True
-            record.monitoring_ended = self._hard_stop
-            self._m_monitor_stops.inc(reason="horizon")
+            return False
+        if next_at <= self._hard_stop:
+            return True
+        record.done = True
+        record.monitoring_ended = self._hard_stop
+        self._m_monitor_stops.inc(reason="horizon")
+        return False
 
     # ------------------------------------------------------------------
     # Results

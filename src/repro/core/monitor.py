@@ -2,137 +2,129 @@
 
 Unlike the full measurement campaign, the monitor "makes only one connection
 to the tracker just after we learn of a new torrent from The Pirate Bay RSS
-feed": it tracks publishers, not downloaders.  Each new publication is
-enriched with GeoIP data (ISP, city, country) and stored in the database;
-profit-driven publishers found by the incentives analysis get an annotated
+feed": it tracks publishers, not downloaders.  That is exactly the crawler
+in single-query mode (``monitor_swarms=False``, as for pb09), so the monitor
+*is* a :class:`~repro.core.crawler.Crawler` with a SQLite sink: every
+discovered torrent -- via .torrent or magnet link, tracker or DHT -- is
+enriched with GeoIP data (ISP, city, country) and stored in the database.
+Profit-driven publishers found by the incentives analysis get an annotated
 publisher page, and fake publishers can be flagged so that client-facing
 queries filter them out (the feature the paper says it is working on).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from typing import Optional
 
-from repro.core.identification import identify_publisher
+from repro.core.crawler import Crawler
+from repro.core.datasets import IdentificationOutcome
 from repro.core.storage import MonitorStore, PublicationRow, PublisherRow
 from repro.geoip import format_ip
-from repro.peerwire import BitfieldProber
+from repro.peerwire import ContentVerdict, verify_content
 from repro.portal.rss import RssEntry
 from repro.simulation.engine import EventScheduler
 from repro.simulation.world import World
-from repro.torrent import parse_torrent
-from repro.tracker import AnnounceRequest, TrackerError, decode_announce_response
-
-_MONITOR_PEER_ID = b"-RP1000-repro-monit1"
-_MONITOR_IP = (10 << 24) | (77 << 16) | 1
+from repro.torrent import TorrentMeta, parse_torrent
 
 
-class ContentPublishingMonitor:
-    """Live monitor feeding the :class:`MonitorStore`."""
+class ContentPublishingMonitor(Crawler):
+    """Live monitor feeding the :class:`MonitorStore`.
+
+    Its counts live in the world's registry: the crawler's
+    ``crawler.torrents_discovered`` and ``crawler.identification``, plus
+    ``monitor.contents_verified`` and ``monitor.fakes_caught``.
+    """
 
     def __init__(
         self,
         world: World,
         scheduler: EventScheduler,
+        rng: random.Random,
         store: Optional[MonitorStore] = None,
         poll_interval: float = 5.0,
-        max_probe_peers: int = 20,
         verify_content_fraction: float = 0.0,
     ) -> None:
         """``verify_content_fraction`` enables the fake-content filter the
         paper announces as future work: that fraction of new torrents gets a
         sample of pieces downloaded and hash-checked an hour after
-        publication; a failed check flags the publishing account as fake."""
-        if poll_interval <= 0:
-            raise ValueError("poll_interval must be > 0")
+        publication; a failed check flags the publishing account as fake.
+        ``rng`` draws which torrents are verified and which pieces."""
         if not 0.0 <= verify_content_fraction <= 1.0:
             raise ValueError("verify_content_fraction must be in [0, 1]")
-        self.world = world
-        self.scheduler = scheduler
+        settings = dataclasses.replace(
+            world.config.crawler,
+            monitor_swarms=False,
+            rss_poll_interval=poll_interval,
+        )
+        super().__init__(world, scheduler, rng, settings)
         self.store = store if store is not None else MonitorStore()
-        self.poll_interval = poll_interval
-        self.max_probe_peers = max_probe_peers
         self.verify_content_fraction = verify_content_fraction
-        self._rng = random.Random(0xB17)
-        self._last_rss_time = float("-inf")
-        self._stop_at: Optional[float] = None
-        self.publications_seen = 0
-        self.publishers_located = 0
-        self.contents_verified = 0
-        self.fakes_caught = 0
+        self._m_verified = self.metrics.counter("monitor.contents_verified").labels()
+        self._m_fakes = self.metrics.counter("monitor.fakes_caught").labels()
+
+    @property
+    def publications_seen(self) -> int:
+        return int(self._m_discovered.value())
+
+    @property
+    def publishers_located(self) -> int:
+        return int(
+            self._m_identification.value(
+                outcome=IdentificationOutcome.IP_IDENTIFIED.name
+            )
+        )
+
+    @property
+    def contents_verified(self) -> int:
+        return int(self._m_verified.value())
+
+    @property
+    def fakes_caught(self) -> int:
+        return int(self._m_fakes.value())
 
     # ------------------------------------------------------------------
     # Live operation
     # ------------------------------------------------------------------
     def run_until(self, end_time: float) -> None:
         """Monitor the portal feed until ``end_time`` (simulated minutes)."""
-        self._stop_at = end_time
-        self.scheduler.schedule(self.scheduler.clock.now, self._poll)
+        self.start()
         self.scheduler.run_until(end_time)
 
-    def _poll(self) -> None:
-        now = self.scheduler.clock.now
-        entries = self.world.portal.feed.entries_between(self._last_rss_time, now)
-        self._last_rss_time = now
-        for entry in entries:
-            self._ingest(entry, now)
-        if self._stop_at is None or now + self.poll_interval <= self._stop_at:
-            self.scheduler.schedule_after(self.poll_interval, self._poll)
-
-    def _ingest(self, entry: RssEntry, now: float) -> None:
-        self.publications_seen += 1
-        publisher_ip: Optional[int] = None
-        torrent_bytes = self.world.portal.get_torrent_file(entry.torrent_id, now)
-        if torrent_bytes is not None:
-            meta = parse_torrent(torrent_bytes)
-            raw = self.world.tracker.announce(
-                AnnounceRequest(
-                    infohash=meta.infohash, client_ip=_MONITOR_IP, numwant=200
-                ),
-                now,
-            )
-            try:
-                response = decode_announce_response(raw)
-            except TrackerError:
-                response = None
-            if response is not None:
-                prober = BitfieldProber(
-                    self.world.swarm_for(entry.torrent_id),
-                    meta.num_pieces,
-                    _MONITOR_PEER_ID,
-                )
-                result = identify_publisher(
-                    response, prober, now, max_probe_peers=self.max_probe_peers
-                )
-                publisher_ip = result.publisher_ip
-
+    def _discover(self, entry: RssEntry, now: float) -> None:
+        super()._discover(entry, now)
+        record = self.records[entry.torrent_id]
+        # Only a fetched .torrent carries the piece hashes to check against.
         if (
-            torrent_bytes is not None
+            record.identification is not IdentificationOutcome.TORRENT_GONE
+            and not record.via_magnet
             and self.verify_content_fraction > 0.0
-            and self._rng.random() < self.verify_content_fraction
+            and self.rng.random() < self.verify_content_fraction
         ):
+            # The crawler keeps no metainfo, so fetch it again for the check.
             # Verify an hour after publication, when the (sole) seeder of a
             # decoy is still around but honest swarms have finished peers.
+            torrent_bytes = self.world.portal.get_torrent_file(entry.torrent_id, now)
             self.scheduler.schedule(
-                now + 60.0, self._verify_content, entry, meta
+                now + 60.0, self._verify_content, entry, parse_torrent(torrent_bytes)
             )
 
+        publisher_ip = record.publisher_ip
         isp = kind = city = country = None
         if publisher_ip is not None:
-            self.publishers_located += 1
             geo = self.world.geoip.lookup(publisher_ip)
             if geo is not None:
                 isp, kind = geo.isp, geo.kind.value
                 city, country = geo.city, geo.country
         self.store.insert_publication(
             PublicationRow(
-                torrent_id=entry.torrent_id,
-                title=entry.title,
-                category=entry.category.value,
-                size_bytes=entry.size_bytes,
-                username=entry.username,
-                publish_time=entry.published_time,
+                torrent_id=record.torrent_id,
+                title=record.title,
+                category=record.category.value,
+                size_bytes=record.size_bytes,
+                username=record.username,
+                publish_time=record.publish_time,
                 publisher_ip=(
                     format_ip(publisher_ip) if publisher_ip is not None else None
                 ),
@@ -143,19 +135,15 @@ class ContentPublishingMonitor:
             )
         )
 
-    def _verify_content(self, entry: RssEntry, meta) -> None:
+    def _verify_content(self, entry: RssEntry, meta: TorrentMeta) -> None:
         """The realised fake filter: sample pieces, hash-check, flag."""
-        from repro.peerwire.verification import ContentVerdict, verify_content
-
         swarm = self.world.swarm_for(entry.torrent_id)
-        result = verify_content(
-            swarm, meta, self.scheduler.clock.now, self._rng
-        )
+        result = verify_content(swarm, meta, self.scheduler.clock.now, self.rng)
         if result.verdict is ContentVerdict.UNREACHABLE:
             return
-        self.contents_verified += 1
+        self._m_verified.inc()
         if result.verdict is ContentVerdict.CORRUPT and entry.username:
-            self.fakes_caught += 1
+            self._m_fakes.inc()
             self.flag_fake(
                 entry.username,
                 note=f"piece hash check failed on torrent {entry.torrent_id}",

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.observability.tracing import TraceBuffer
 
@@ -336,35 +336,23 @@ class Histogram(_Instrument):
 
 
 class Timer:
-    """Context manager that observes an elapsed duration into a histogram.
+    """Context manager that observes elapsed wall milliseconds into a
+    ``wall`` histogram."""
 
-    ``clock_fn`` decides the domain: ``time.perf_counter`` (seconds,
-    converted to milliseconds) for wall timers, ``lambda: clock.now``
-    (simulated minutes, recorded as-is) for sim timers.
-    """
+    __slots__ = ("_histogram", "_labels", "_start")
 
-    __slots__ = ("_histogram", "_labels", "_clock_fn", "_scale", "_start")
-
-    def __init__(
-        self,
-        histogram: Histogram,
-        labels: Dict[str, Any],
-        clock_fn: Callable[[], float],
-        scale: float = 1.0,
-    ) -> None:
+    def __init__(self, histogram: Histogram, labels: Dict[str, Any]) -> None:
         self._histogram = histogram
         self._labels = labels
-        self._clock_fn = clock_fn
-        self._scale = scale
         self._start = 0.0
 
     def __enter__(self) -> "Timer":
-        self._start = self._clock_fn()
+        self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        elapsed = (self._clock_fn() - self._start) * self._scale
-        self._histogram.observe(elapsed, **self._labels)
+        elapsed_ms = (time.perf_counter() - self._start) * 1000.0
+        self._histogram.observe(elapsed_ms, **self._labels)
 
 
 class MetricsRegistry:
@@ -375,27 +363,9 @@ class MetricsRegistry:
     silently split one metric into two).
     """
 
-    def __init__(
-        self,
-        trace_capacity: int = 1024,
-        wall_sample_interval: int = 16,
-        sim_sample_interval: int = 1,
-    ) -> None:
-        # Sampling knobs for per-event instrumentation (read by the engine):
-        # wall_sample_interval thins perf_counter callback timings, which are
-        # wall-domain and excluded from deterministic snapshots, so 1-in-16
-        # is the default.  sim_sample_interval thins sim-domain per-event
-        # observations (heap depth); it defaults to 1 (exact) because those
-        # feed the deterministic snapshot -- raise it only when you accept
-        # that same-seed snapshots move.
-        if wall_sample_interval < 1:
-            raise MetricsError("wall_sample_interval must be >= 1")
-        if sim_sample_interval < 1:
-            raise MetricsError("sim_sample_interval must be >= 1")
-        self.wall_sample_interval = wall_sample_interval
-        self.sim_sample_interval = sim_sample_interval
+    def __init__(self) -> None:
         self._instruments: Dict[str, _Instrument] = {}
-        self.trace = TraceBuffer(capacity=trace_capacity)
+        self.trace = TraceBuffer()
 
     # ------------------------------------------------------------------
     # Instrument factories
@@ -430,17 +400,7 @@ class MetricsRegistry:
     def timer(self, name: str, **labels: Any) -> Timer:
         """Wall-clock timer; records milliseconds into a ``wall`` histogram."""
         histogram = self.histogram(name, wall=True)
-        return Timer(histogram, labels, time.perf_counter, scale=1000.0)
-
-    def sim_timer(self, name: str, clock: Any, **labels: Any) -> Timer:
-        """Simulated-clock timer; records elapsed simulated minutes.
-
-        ``clock`` is anything with a ``now`` attribute (a
-        :class:`~repro.simulation.clock.Clock`), so durations derive from
-        event-engine time and stay deterministic under a fixed seed.
-        """
-        histogram = self.histogram(name, wall=False)
-        return Timer(histogram, labels, lambda: clock.now, scale=1.0)
+        return Timer(histogram, labels)
 
     # ------------------------------------------------------------------
     # Introspection / export

@@ -11,18 +11,15 @@ The scheduler is instrumented through a
 :class:`~repro.observability.MetricsRegistry`:
 
 - ``engine.events_run`` (counter, sim): callbacks executed;
-- ``engine.heap_depth`` (histogram, sim): pending-queue depth sampled at
-  every pop -- the campaign's backlog profile.  Observed every
-  ``sim_sample_interval``-th event (registry knob, default 1 = exact; a
-  sim-domain instrument feeds the deterministic snapshot, so thinning it
-  is opt-in);
+- ``engine.heap_depth`` (histogram, sim): pending-queue depth observed at
+  every pop -- the campaign's backlog profile;
 - ``engine.sim_time_minutes`` (gauge, sim): the clock after the last run;
 - ``engine.callback_wall_ms`` (histogram, wall, labeled by callback):
   real time spent inside each callback kind -- the "where does campaign
   time go?" number.  Wall timings are inherently nondeterministic and are
   excluded from deterministic snapshots, so they are sampled 1-in-
-  ``wall_sample_interval`` (default 16): ``perf_counter`` is no longer
-  called twice per event, only twice per sampled event.
+  :data:`WALL_SAMPLE_INTERVAL`: ``perf_counter`` runs twice per sampled
+  event, not twice per event.
 """
 
 from __future__ import annotations
@@ -35,6 +32,9 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from repro.observability import MetricsRegistry
 from repro.simulation.clock import Clock
+
+# Every 16th callback is wall-timed.
+WALL_SAMPLE_INTERVAL = 16
 
 
 def _callback_label(callback: Callable[..., None]) -> str:
@@ -57,21 +57,17 @@ class EventScheduler:
         self.metrics = metrics
         self._heap: List[Tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = itertools.count()
-        self._events_run = 0
         self._m_events = self.metrics.counter("engine.events_run").labels()
         self._m_depth = self.metrics.histogram("engine.heap_depth").labels()
         self._m_sim_time = self.metrics.gauge("engine.sim_time_minutes").labels()
         self._m_callback = self.metrics.histogram("engine.callback_wall_ms", wall=True)
         # Bound per-callback-label handles, resolved once per callback kind.
         self._callback_handles: dict = {}
-        self._wall_interval = self.metrics.wall_sample_interval
-        self._sim_interval = self.metrics.sim_sample_interval
         self._wall_tick = 0
-        self._sim_tick = 0
 
     @property
     def events_run(self) -> int:
-        return self._events_run
+        return int(self._m_events.value())
 
     def schedule(self, time: float, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` at simulated ``time``.
@@ -103,13 +99,10 @@ class EventScheduler:
 
     def _dispatch(self, time: float, callback: Callable[..., None], args: tuple) -> None:
         """Advance the clock, run one callback, account for it."""
-        self._sim_tick += 1
-        if self._sim_tick >= self._sim_interval:
-            self._sim_tick = 0
-            self._m_depth.observe(len(self._heap) + 1)
+        self._m_depth.observe(len(self._heap) + 1)
         self.clock.advance_to(time)
         self._wall_tick += 1
-        if self._wall_tick >= self._wall_interval:
+        if self._wall_tick >= WALL_SAMPLE_INTERVAL:
             self._wall_tick = 0
             started = _time.perf_counter()
             callback(*args)
@@ -123,7 +116,6 @@ class EventScheduler:
             handle.observe(elapsed_ms)
         else:
             callback(*args)
-        self._events_run += 1
         self._m_events.inc()
 
     def run_until(self, end_time: float) -> None:

@@ -92,9 +92,6 @@ class WorldTruth:
     username_to_agent: Dict[str, int] = field(default_factory=dict)
     agent_class: Dict[int, PublisherClass] = field(default_factory=dict)
 
-    def torrents_of_class(self, cls: PublisherClass) -> List[TorrentTruth]:
-        return [t for t in self.torrents if t.publisher_class is cls]
-
 
 @dataclass
 class _PlannedPublication:

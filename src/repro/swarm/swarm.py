@@ -94,10 +94,6 @@ class Swarm:
         self._by_leave = sorted(self._sessions, key=lambda s: s.leave_time)
 
     @property
-    def total_sessions(self) -> int:
-        return len(self._sessions)
-
-    @property
     def all_sessions(self) -> List[PeerSession]:
         return list(self._sessions)
 
@@ -209,9 +205,6 @@ class Swarm:
         return [
             s for s in self._sessions if s.join_time <= t < s.leave_time
         ]
-
-    def seeders_at(self, t: float) -> int:
-        return sum(1 for s in self.sessions_at(t) if s.is_seeder_at(t))
 
     def peak_population(self, resolution: float = 60.0) -> int:
         """Maximum instantaneous population, scanned at ``resolution`` minutes."""

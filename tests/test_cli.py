@@ -27,6 +27,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args([])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["monitor", "--seed", "-4"],
+            ["monitor", "--days", "0"],
+            ["monitor", "--days", "-1"],
+            ["monitor", "--days", "nan"],
+        ],
+    )
+    def test_monitor_rejects_bad_arguments(self, argv, capsys):
+        """Bad monitor arguments exit 2 with a usage error, as for `run`."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_appendix_command(self, capsys):

@@ -1,6 +1,8 @@
 """Extra incentives-analysis facets: monetization channels, seed-ratio
 policies, and feeding the analysis back into the live monitor."""
 
+import random
+
 import pytest
 
 from repro.core.analysis.incentives import classify_top_publishers
@@ -34,7 +36,9 @@ class TestAnalysisToMonitorLoop:
         incentives = classify_top_publishers(dataset, groups)
         _fake_ips, fake_usernames, _ = detect_fake_publishers(dataset)
         world = World.build(tiny_scenario("ingest"), seed=1, metrics=MetricsRegistry())
-        monitor = ContentPublishingMonitor(world, EventScheduler(metrics=world.metrics))
+        monitor = ContentPublishingMonitor(
+            world, EventScheduler(metrics=world.metrics), rng=random.Random(0xB17)
+        )
         written = monitor.ingest_analysis(incentives, fake_usernames)
         assert written == len(incentives.profit_driven()) + len(fake_usernames)
         for key in incentives.profit_driven():

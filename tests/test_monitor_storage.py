@@ -1,11 +1,13 @@
 """Tests for the Section 7 monitoring application and its database."""
 
+import random
+
 import pytest
 
 from repro.core.monitor import ContentPublishingMonitor
 from repro.core.storage import MonitorStore, PublicationRow, PublisherRow
 from repro.observability import MetricsRegistry
-from repro.simulation import World, tiny_scenario
+from repro.simulation import World, build_scenario, tiny_scenario
 from repro.simulation.engine import EventScheduler
 
 
@@ -15,7 +17,9 @@ def monitor_run():
         tiny_scenario("monitor"), seed=55, metrics=MetricsRegistry()
     )
     scheduler = EventScheduler(metrics=world.metrics)
-    monitor = ContentPublishingMonitor(world, scheduler, poll_interval=10.0)
+    monitor = ContentPublishingMonitor(
+        world, scheduler, rng=random.Random(0xB17), poll_interval=10.0
+    )
     monitor.run_until(world.config.window_minutes)
     return world, monitor
 
@@ -147,8 +151,36 @@ class TestMonitor:
         world, _monitor = monitor_run
         with pytest.raises(ValueError):
             ContentPublishingMonitor(
-                world, EventScheduler(metrics=world.metrics), poll_interval=0
+                world,
+                EventScheduler(metrics=world.metrics),
+                rng=random.Random(0xB17),
+                poll_interval=0,
             )
+
+    def test_counts_read_the_registry(self, monitor_run):
+        world, monitor = monitor_run
+        identification = world.metrics.counter("crawler.identification")
+        assert monitor.publishers_located == identification.value(
+            outcome="IP_IDENTIFIED"
+        )
+        assert monitor.publications_seen == world.metrics.counter(
+            "crawler.torrents_discovered"
+        ).value()
+
+    def test_locates_publishers_on_magnet_only_portal(self):
+        """Magnet-only publications are identified over the DHT."""
+        world = World.build(
+            build_scenario("trackerless"), seed=7, metrics=MetricsRegistry()
+        )
+        monitor = ContentPublishingMonitor(
+            world,
+            EventScheduler(metrics=world.metrics),
+            rng=random.Random(0xB17),
+            poll_interval=5.0,
+        )
+        monitor.run_until(world.config.window_minutes)
+        assert monitor.publications_seen == world.portal.num_items
+        assert monitor.publishers_located > 0.3 * monitor.publications_seen
 
 
 class TestContentVerificationFilter:
@@ -163,7 +195,11 @@ class TestContentVerificationFilter:
         )
         scheduler = EventScheduler(metrics=world.metrics)
         monitor = ContentPublishingMonitor(
-            world, scheduler, poll_interval=10.0, verify_content_fraction=1.0
+            world,
+            scheduler,
+            rng=random.Random(0xB17),
+            poll_interval=10.0,
+            verify_content_fraction=1.0,
         )
         monitor.run_until(world.config.window_minutes)
         assert monitor.contents_verified > 50
@@ -192,5 +228,6 @@ class TestContentVerificationFilter:
             ContentPublishingMonitor(
                 world,
                 EventScheduler(metrics=world.metrics),
+                rng=random.Random(0xB17),
                 verify_content_fraction=1.5,
             )

@@ -15,7 +15,6 @@ from repro.observability import (
     MetricsRegistry,
     TraceBuffer,
 )
-from repro.simulation.clock import Clock
 
 
 class TestCounter:
@@ -130,15 +129,6 @@ class TestHistogram:
 
 
 class TestTimers:
-    def test_sim_timer_reads_clock(self):
-        registry = MetricsRegistry()
-        clock = Clock()
-        with registry.sim_timer("span_minutes", clock, stage="crawl"):
-            clock.advance_to(12.5)
-        summary = registry.histogram("span_minutes").summary(stage="crawl")
-        assert summary["count"] == 1
-        assert summary["sum"] == pytest.approx(12.5)
-
     def test_wall_timer_marks_histogram_wall(self):
         registry = MetricsRegistry()
         with registry.timer("elapsed_ms"):
@@ -371,12 +361,3 @@ class TestBoundHandles:
         counter = MetricsRegistry().counter("c")
         counter.labels(a="1", b="2").inc()
         assert counter.labels(b="2", a="1").value() == 1.0
-
-    def test_registry_sampling_knob_validation(self):
-        with pytest.raises(MetricsError):
-            MetricsRegistry(wall_sample_interval=0)
-        with pytest.raises(MetricsError):
-            MetricsRegistry(sim_sample_interval=0)
-        registry = MetricsRegistry(wall_sample_interval=4, sim_sample_interval=2)
-        assert registry.wall_sample_interval == 4
-        assert registry.sim_sample_interval == 2

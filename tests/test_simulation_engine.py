@@ -154,25 +154,8 @@ class TestSchedulerMetrics:
         assert registry.histogram("engine.heap_depth").summary()["max"] == 4
         assert registry.gauge("engine.sim_time_minutes").value() == 10.0
 
-    def test_callback_wall_timing_labeled(self):
-        # wall_sample_interval=1 times every callback (the pre-sampling
-        # behaviour); the default of 16 is covered separately below.
-        registry = MetricsRegistry(wall_sample_interval=1)
-        scheduler = EventScheduler(metrics=registry)
-
-        def named_callback():
-            pass
-
-        scheduler.schedule(1.0, named_callback)
-        scheduler.schedule(2.0, named_callback)
-        scheduler.run_until(5.0)
-        histogram = registry.histogram("engine.callback_wall_ms")
-        assert histogram.wall is True
-        label = "TestSchedulerMetrics.test_callback_wall_timing_labeled.<locals>.named_callback"
-        assert histogram.count(callback=label) == 2
-
     def test_callback_wall_timing_sampled_by_default(self):
-        registry = MetricsRegistry()  # default wall_sample_interval=16
+        registry = MetricsRegistry()
         scheduler = EventScheduler(metrics=registry)
 
         def named_callback():
@@ -182,6 +165,8 @@ class TestSchedulerMetrics:
             scheduler.schedule(float(i), named_callback)
         scheduler.run_until(100.0)
         histogram = registry.histogram("engine.callback_wall_ms")
+        assert histogram.wall is True
+        # Samples are labeled by the callback's qualified name.
         label = (
             "TestSchedulerMetrics.test_callback_wall_timing_sampled_by_default"
             ".<locals>.named_callback"
@@ -191,13 +176,3 @@ class TestSchedulerMetrics:
         assert histogram.count(callback=label) == 3
         assert registry.counter("engine.events_run").value() == 48
         assert registry.histogram("engine.heap_depth").count() == 48
-
-    def test_heap_depth_sampling_knob(self):
-        registry = MetricsRegistry(sim_sample_interval=4)
-        scheduler = EventScheduler(metrics=registry)
-        for i in range(8):
-            scheduler.schedule(float(i), lambda: None)
-        scheduler.run_until(10.0)
-        # Opt-in thinning: 8 events at 1-in-4 -> 2 heap-depth observations.
-        assert registry.histogram("engine.heap_depth").count() == 2
-        assert registry.counter("engine.events_run").value() == 8
