@@ -4,7 +4,7 @@ import pytest
 
 from repro.observability import MetricsRegistry
 from repro.simulation.clock import DAY, HOUR, MINUTE, WEEK, Clock, days, hours, minutes
-from repro.simulation.engine import EventScheduler
+from repro.simulation.engine import WALL_SAMPLE_INTERVAL, EventScheduler
 
 
 class TestClock:
@@ -154,6 +154,22 @@ class TestSchedulerMetrics:
         assert registry.histogram("engine.heap_depth").summary()["max"] == 4
         assert registry.gauge("engine.sim_time_minutes").value() == 10.0
 
+    def test_callback_wall_timing_labeled(self):
+        registry = MetricsRegistry()
+        scheduler = EventScheduler(metrics=registry)
+
+        def named_callback():
+            pass
+
+        # Two full sampling periods -> exactly two timed callbacks.
+        for i in range(2 * WALL_SAMPLE_INTERVAL):
+            scheduler.schedule(float(i), named_callback)
+        scheduler.run_until(100.0)
+        histogram = registry.histogram("engine.callback_wall_ms")
+        assert histogram.wall is True
+        label = "TestSchedulerMetrics.test_callback_wall_timing_labeled.<locals>.named_callback"
+        assert histogram.count(callback=label) == 2
+
     def test_callback_wall_timing_sampled_by_default(self):
         registry = MetricsRegistry()
         scheduler = EventScheduler(metrics=registry)
@@ -165,8 +181,6 @@ class TestSchedulerMetrics:
             scheduler.schedule(float(i), named_callback)
         scheduler.run_until(100.0)
         histogram = registry.histogram("engine.callback_wall_ms")
-        assert histogram.wall is True
-        # Samples are labeled by the callback's qualified name.
         label = (
             "TestSchedulerMetrics.test_callback_wall_timing_sampled_by_default"
             ".<locals>.named_callback"
