@@ -27,6 +27,8 @@ class GoldenSpec:
     scenario: str
     seed: int = 7
     top_k: int = 20
+    # None keeps the scenario's own scale (and the golden file omits it).
+    scale: Optional[float] = None
     # None keeps the scenario's own window (and the golden file omits it).
     window_days: Optional[float] = None
     post_window_days: Optional[float] = None
@@ -46,6 +48,15 @@ GOLDENS: Dict[str, GoldenSpec] = {
     ),
     # Tracker and DHT together: the two-channel crawler's merge path.
     "hybrid": GoldenSpec("hybrid", window_days=0.25, post_window_days=0.25),
+    # The paper's portal modes, at reduced scale.  pb09 queries each torrent
+    # once (the single-query path the Section 7 monitor runs on); mn08's
+    # RSS feed carries no username, so publishers are keyed by IP.
+    "pb09": GoldenSpec(
+        "pb09", scale=0.05, window_days=1.0, post_window_days=0.5
+    ),
+    "mn08": GoldenSpec(
+        "mn08", scale=0.05, window_days=1.0, post_window_days=0.5
+    ),
 }
 
 
@@ -53,6 +64,7 @@ def run_golden_campaign(spec: GoldenSpec) -> Tuple[Any, Any]:
     """(dataset, world) of the golden campaign ``spec``."""
     config = build_scenario(
         spec.scenario,
+        scale=spec.scale if spec.scale is not None else 1.0,
         window_days=spec.window_days,
         post_window_days=spec.post_window_days,
     )
@@ -84,6 +96,8 @@ def golden_payload(spec: GoldenSpec, dataset: Any, world: Any) -> Dict[str, Any]
         "headline": headline_stats(dataset, world, top_k=spec.top_k),
         "summary": dataset.summary_dict(),
     }
+    if spec.scale is not None:
+        payload["scale"] = spec.scale
     if spec.window_days is not None:
         payload["window_days"] = spec.window_days
     if spec.post_window_days is not None:

@@ -9,7 +9,10 @@ pin every headline statistic of one small campaign per discovery channel:
 - ``trackerless`` (magnet + DHT, short window): also pins the run's
   ``dht.*`` instruments, so every KRPC message and lookup hop is counted;
 - ``hybrid`` (tracker + DHT, short window): pins the two-channel crawler,
-  which merges both channels' observations of one torrent.
+  which merges both channels' observations of one torrent;
+- ``pb09`` and ``mn08`` (reduced scale, short window): pin two of the
+  paper's portal modes, one query per torrent and an RSS feed without
+  usernames.
 
 Any unintentional drift in world generation, the crawlers, the DHT,
 identification, session reconstruction or the analysis pipeline fails here
@@ -108,8 +111,10 @@ class TestGoldenCampaign:
         } <= families
 
 
-class TestTrackerlessGolden:
-    SPEC = GOLDENS["trackerless"]
+class GoldenFileChecks:
+    """Checks every short-window golden gets; subclasses set ``SPEC``."""
+
+    SPEC = None
 
     @pytest.fixture(scope="class")
     def golden(self):
@@ -121,6 +126,7 @@ class TestTrackerlessGolden:
         assert golden["scenario"] == spec.scenario
         assert golden["seed"] == spec.seed
         assert golden["top_k"] == spec.top_k
+        assert golden.get("scale") == spec.scale
         assert golden["window_days"] == spec.window_days
         assert golden["post_window_days"] == spec.post_window_days
 
@@ -129,6 +135,10 @@ class TestTrackerlessGolden:
         _assert_matches_golden(
             golden, golden_payload(self.SPEC, dataset, world)
         )
+
+
+class TestTrackerlessGolden(GoldenFileChecks):
+    SPEC = GOLDENS["trackerless"]
 
     def test_golden_pins_the_dht_wire_path(self, golden):
         """The DHT counts must stay pinned and non-trivial: lookups ran,
@@ -151,3 +161,24 @@ class TestHybridGolden(TestTrackerlessGolden):
         assert dht["dht.lookup_peers.sum"] > 0
         assert golden["headline"]["discovery.dht_coverage"] > 0
         assert golden["headline"]["discovery.tracker_coverage"] > 0
+
+
+class TestPb09Golden(GoldenFileChecks):
+    SPEC = GOLDENS["pb09"]
+
+    def test_each_torrent_is_queried_once(self, golden, golden_run):
+        """pb09's crawler contacts each swarm once, right after discovery."""
+        dataset, _world = golden_run(self.SPEC.scenario)
+        assert golden["summary"]["num_torrents"] == len(dataset.records) > 0
+        assert all(len(r.query_times) == 1 for r in dataset.records.values())
+
+
+class TestMn08Golden(GoldenFileChecks):
+    SPEC = GOLDENS["mn08"]
+
+    def test_publishers_are_keyed_by_ip(self, golden):
+        """No username in the feed: the username-mapping stats are absent,
+        and publishers are still located by IP."""
+        assert golden["summary"]["num_with_username"] == 0
+        assert golden["summary"]["num_with_publisher_ip"] > 0
+        assert not any(key.startswith("mapping.") for key in golden["headline"])
