@@ -338,15 +338,18 @@ def main() -> None:
 
     # Section 7
     w("## Section 7 — monitoring application\n\n")
-    w("Implemented in `repro.core.monitor` + `repro.core.storage` (SQLite).  "
-      "The monitor is the crawler in single-query mode "
-      "(`monitor_swarms=False`, as for pb09) plus a SQLite sink: one tracker "
-      "announce and/or DHT lookup per new torrent, .torrent or magnet link, "
-      "GeoIP enrichment, per-publisher annotations for profit-driven "
-      "publishers, and the fake-publisher filter the paper announces as "
-      "future work.  On the magnet-only `trackerless` portal (seed 7) it "
-      "locates 148 of 283 publishers.  Exercised by "
-      "`examples/live_monitor.py` and `tests/test_monitor_storage.py`.\n\n")
+    w("Implemented in `repro.core.monitor`, writing the campaign database "
+      "of `repro.core.export` (SQLite).  The monitor is the crawler in "
+      "single-query mode (`monitor_swarms=False`, as for pb09) whose "
+      "database is the campaign archive: one tracker announce and/or DHT "
+      "lookup per new torrent, .torrent or magnet link, each record stored "
+      "with its publisher IP's GeoIP row, per-publisher annotations for "
+      "profit-driven publishers, and the fake-publisher filter the paper "
+      "announces as future work.  A monitor database written to a file "
+      "loads with `load_dataset`, so the offline analyses run on it.  On "
+      "the magnet-only `trackerless` portal (seed 7) it locates 148 of 283 "
+      "publishers.  Exercised by `examples/live_monitor.py` and "
+      "`tests/test_monitor_storage.py`.\n\n")
 
     # Discovery-channel ablation (kept in sync with the benchmark's own run:
     # hybrid scenario, scale 0.3, seed 99 -- cheap enough to recompute here

@@ -4,9 +4,11 @@ Unlike the full measurement campaign, the monitor "makes only one connection
 to the tracker just after we learn of a new torrent from The Pirate Bay RSS
 feed": it tracks publishers, not downloaders.  That is exactly the crawler
 in single-query mode (``monitor_swarms=False``, as for pb09), so the monitor
-*is* a :class:`~repro.core.crawler.Crawler` with a SQLite sink: every
-discovered torrent -- via .torrent or magnet link, tracker or DHT -- is
-enriched with GeoIP data (ISP, city, country) and stored in the database.
+*is* a :class:`~repro.core.crawler.Crawler` whose database is the campaign
+archive (:class:`~repro.core.export.CampaignArchive`): every discovered
+torrent -- via .torrent or magnet link, tracker or DHT -- is written there
+with its publisher IP's GeoIP row (ISP, city, country), so a monitor
+database written to a file loads with :func:`~repro.core.export.load_dataset`.
 Profit-driven publishers found by the incentives analysis get an annotated
 publisher page, and fake publishers can be flagged so that client-facing
 queries filter them out (the feature the paper says it is working on).
@@ -20,8 +22,7 @@ from typing import Optional
 
 from repro.core.crawler import Crawler
 from repro.core.datasets import IdentificationOutcome
-from repro.core.storage import MonitorStore, PublicationRow, PublisherRow
-from repro.geoip import format_ip
+from repro.core.export import CampaignArchive, PublisherRow
 from repro.peerwire import ContentVerdict, verify_content
 from repro.portal.rss import RssEntry
 from repro.simulation.engine import EventScheduler
@@ -30,7 +31,7 @@ from repro.torrent import TorrentMeta, parse_torrent
 
 
 class ContentPublishingMonitor(Crawler):
-    """Live monitor feeding the :class:`MonitorStore`.
+    """Live monitor feeding a :class:`CampaignArchive`.
 
     Its counts live in the world's registry: the crawler's
     ``crawler.torrents_discovered`` and ``crawler.identification``, plus
@@ -42,7 +43,7 @@ class ContentPublishingMonitor(Crawler):
         world: World,
         scheduler: EventScheduler,
         rng: random.Random,
-        store: Optional[MonitorStore] = None,
+        store: Optional[CampaignArchive] = None,
         poll_interval: float = 5.0,
         verify_content_fraction: float = 0.0,
     ) -> None:
@@ -59,7 +60,7 @@ class ContentPublishingMonitor(Crawler):
             rss_poll_interval=poll_interval,
         )
         super().__init__(world, scheduler, rng, settings)
-        self.store = store if store is not None else MonitorStore()
+        self.store = store if store is not None else CampaignArchive()
         self.verify_content_fraction = verify_content_fraction
         self._m_verified = self.metrics.counter("monitor.contents_verified").labels()
         self._m_fakes = self.metrics.counter("monitor.fakes_caught").labels()
@@ -88,9 +89,12 @@ class ContentPublishingMonitor(Crawler):
     # Live operation
     # ------------------------------------------------------------------
     def run_until(self, end_time: float) -> None:
-        """Monitor the portal feed until ``end_time`` (simulated minutes)."""
+        """Monitor the portal feed until ``end_time`` (simulated minutes),
+        then write the campaign's meta rows and commit."""
         self.start()
         self.scheduler.run_until(end_time)
+        self.store.write_meta(self.build_dataset())
+        self.store.commit()
 
     def _discover(self, entry: RssEntry, now: float) -> None:
         super()._discover(entry, now)
@@ -109,31 +113,10 @@ class ContentPublishingMonitor(Crawler):
             self.scheduler.schedule(
                 now + 60.0, self._verify_content, entry, parse_torrent(torrent_bytes)
             )
-
-        publisher_ip = record.publisher_ip
-        isp = kind = city = country = None
-        if publisher_ip is not None:
-            geo = self.world.geoip.lookup(publisher_ip)
-            if geo is not None:
-                isp, kind = geo.isp, geo.kind.value
-                city, country = geo.city, geo.country
-        self.store.insert_publication(
-            PublicationRow(
-                torrent_id=record.torrent_id,
-                title=record.title,
-                category=record.category.value,
-                size_bytes=record.size_bytes,
-                username=record.username,
-                publish_time=record.publish_time,
-                publisher_ip=(
-                    format_ip(publisher_ip) if publisher_ip is not None else None
-                ),
-                isp=isp,
-                isp_kind=kind,
-                city=city,
-                country=country,
-            )
-        )
+        # Commit each publication as it lands, so other connections to a
+        # file-backed database see the live feed.
+        self.store.add_record(record, self.world.geoip)
+        self.store.commit()
 
     def _verify_content(self, entry: RssEntry, meta: TorrentMeta) -> None:
         """The realised fake filter: sample pieces, hash-check, flag."""

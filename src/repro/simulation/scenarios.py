@@ -179,36 +179,26 @@ def mn08_scenario(scale: float = 1.0, popularity_scale: float = 1.0) -> Scenario
     )
 
 
+# The minutes-scale species mix of tiny, baseline and the discovery
+# scenarios (which stay small so the ablation benchmark can sweep all three
+# channels).
+_SMALL_POPULATION = PopulationConfig(
+    num_regular=120,
+    num_bt_portal=2,
+    num_web_promoter=2,
+    num_altruistic_top=3,
+    num_fake_antipiracy=1,
+    num_fake_malware=1,
+)
+
+
 def baseline_scenario(
     scale: float = 1.0, popularity_scale: float = 1.0
 ) -> ScenarioConfig:
-    """The default sweep grid cell: a minutes-scale world with every species.
-
-    Identical in shape to :func:`tiny_scenario` but with uniform
-    ``(scale, popularity_scale)`` knobs so ``repro sweep`` can replicate it
-    across a seed grid in seconds per cell.
-    """
-    return ScenarioConfig(
-        name="baseline",
-        portal_name="The Pirate Bay",
-        rss_includes_username=True,
-        window_days=6.0,
-        post_window_days=6.0,
-        population=PopulationConfig(
-            num_regular=120,
-            num_bt_portal=2,
-            num_web_promoter=2,
-            num_altruistic_top=3,
-            num_fake_antipiracy=1,
-            num_fake_malware=1,
-        ).scaled(scale),
-        popularity_scale=0.15 * popularity_scale,
-        crawler=CrawlerSettings(
-            rss_poll_interval=10.0,
-            vantage_count=1,
-        ),
-        tracker=TrackerConfig(min_interval=20.0, max_interval=30.0),
-    )
+    """The default sweep grid cell: :func:`tiny_scenario` under its own name,
+    with the uniform ``(scale, popularity_scale)`` knobs ``repro sweep``
+    replicates across a seed grid in seconds per cell."""
+    return scaled(tiny_scenario("baseline"), scale, popularity_scale)
 
 
 def tiny_scenario(seed_name: str = "tiny") -> ScenarioConfig:
@@ -219,14 +209,7 @@ def tiny_scenario(seed_name: str = "tiny") -> ScenarioConfig:
         rss_includes_username=True,
         window_days=6.0,
         post_window_days=6.0,
-        population=PopulationConfig(
-            num_regular=120,
-            num_bt_portal=2,
-            num_web_promoter=2,
-            num_altruistic_top=3,
-            num_fake_antipiracy=1,
-            num_fake_malware=1,
-        ),
+        population=_SMALL_POPULATION,
         popularity_scale=0.15,
         crawler=CrawlerSettings(
             rss_poll_interval=10.0,
@@ -234,19 +217,6 @@ def tiny_scenario(seed_name: str = "tiny") -> ScenarioConfig:
         ),
         tracker=TrackerConfig(min_interval=20.0, max_interval=30.0),
     )
-
-
-def _small_discovery_population(scale: float) -> PopulationConfig:
-    """The tiny-scenario species mix, scaled (the discovery scenarios stay
-    minutes-scale so the ablation benchmark can sweep all three modes)."""
-    return PopulationConfig(
-        num_regular=120,
-        num_bt_portal=2,
-        num_web_promoter=2,
-        num_altruistic_top=3,
-        num_fake_antipiracy=1,
-        num_fake_malware=1,
-    ).scaled(scale)
 
 
 def trackerless_scenario(
@@ -265,7 +235,7 @@ def trackerless_scenario(
         rss_includes_username=True,
         window_days=6.0,
         post_window_days=6.0,
-        population=_small_discovery_population(scale),
+        population=_SMALL_POPULATION.scaled(scale),
         popularity_scale=0.15 * popularity_scale,
         crawler=CrawlerSettings(
             rss_poll_interval=10.0,
@@ -296,7 +266,7 @@ def hybrid_scenario(
         rss_includes_username=True,
         window_days=6.0,
         post_window_days=6.0,
-        population=_small_discovery_population(scale),
+        population=_SMALL_POPULATION.scaled(scale),
         popularity_scale=0.15 * popularity_scale,
         crawler=CrawlerSettings(
             rss_poll_interval=10.0,

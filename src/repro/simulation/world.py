@@ -60,10 +60,6 @@ from repro.websites.model import WebDirectory
 
 ANNOUNCE_URL = "http://tracker.openbittorrent.sim/announce"
 
-# ISPs downloader (consumer) traffic comes from -- commercial only; the
-# paper explicitly observed no OVH addresses among consuming peers.
-_CONSUMER_WEIGHTS: List[Tuple[str, float]] = []
-
 
 @dataclass(frozen=True)
 class TorrentTruth:

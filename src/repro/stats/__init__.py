@@ -3,9 +3,8 @@
 This package is intentionally dependency-free (``random`` + ``math`` only) so
 that the core library can run anywhere.  It provides:
 
-- :mod:`repro.stats.distributions` -- seeded samplers for the heavy-tailed
-  distributions that drive the synthetic world (Zipf, bounded Pareto,
-  log-normal) plus small helpers (Poisson, exponential).
+- :mod:`repro.stats.distributions` -- the seeded log-normal and Poisson
+  samplers the synthetic world draws from.
 - :mod:`repro.stats.summaries` -- five-number / box-plot summaries,
   percentiles, CDF construction and Gini coefficients used by the analysis
   modules that reproduce the paper's figures.
@@ -16,13 +15,7 @@ that the core library can run anywhere.  It provides:
 """
 
 from repro.stats.bootstrap import MetricBand, bootstrap_ci, metric_band
-from repro.stats.distributions import (
-    BoundedPareto,
-    LogNormal,
-    ZipfSampler,
-    exponential,
-    poisson,
-)
+from repro.stats.distributions import LogNormal, poisson
 from repro.stats.summaries import (
     BoxStats,
     Cdf,
@@ -37,10 +30,7 @@ __all__ = [
     "MetricBand",
     "bootstrap_ci",
     "metric_band",
-    "BoundedPareto",
     "LogNormal",
-    "ZipfSampler",
-    "exponential",
     "poisson",
     "BoxStats",
     "Cdf",

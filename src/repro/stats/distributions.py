@@ -1,9 +1,8 @@
-"""Seeded samplers for the heavy-tailed distributions driving the synthetic world.
+"""Seeded samplers the synthetic world draws from.
 
-The paper's measured quantities are strongly skewed: content contribution
-(Fig. 1), torrent popularity (Fig. 3), and website economics (Table 5) all
-follow heavy tails.  The generators here are small, well-tested building
-blocks that the population and workload generators compose.
+The paper's website economics (Table 5) are strongly skewed, so a site's
+daily visits and revenue per visit are log-normal; publication counts are
+Poisson.
 
 All samplers take an explicit :class:`random.Random` instance so that whole
 scenarios are reproducible from a single seed.
@@ -13,89 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Sequence
-
-
-class ZipfSampler:
-    """Sample ranks ``1..n`` with probability proportional to ``1 / rank**s``.
-
-    Used for torrent popularity and publisher activity ranks.  The sampler
-    precomputes the cumulative mass so each draw is ``O(log n)``.
-    """
-
-    def __init__(self, n: int, s: float = 1.0) -> None:
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        if s < 0:
-            raise ValueError(f"exponent must be >= 0, got {s}")
-        self.n = n
-        self.s = s
-        weights = [1.0 / (rank**s) for rank in range(1, n + 1)]
-        total = math.fsum(weights)
-        cumulative: List[float] = []
-        acc = 0.0
-        for w in weights:
-            acc += w
-            cumulative.append(acc / total)
-        # Guard against floating point drift: the last entry must be 1.0 so
-        # that bisection can never run off the end.
-        cumulative[-1] = 1.0
-        self._cumulative = cumulative
-
-    def sample(self, rng: random.Random) -> int:
-        """Draw one rank in ``[1, n]``."""
-        u = rng.random()
-        lo, hi = 0, self.n - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cumulative[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo + 1
-
-    def pmf(self, rank: int) -> float:
-        """Probability mass of ``rank``."""
-        if not 1 <= rank <= self.n:
-            raise ValueError(f"rank must be in [1, {self.n}], got {rank}")
-        prev = self._cumulative[rank - 2] if rank >= 2 else 0.0
-        return self._cumulative[rank - 1] - prev
-
-
-class BoundedPareto:
-    """Pareto distribution truncated to ``[low, high]``.
-
-    Inverse-CDF sampling; used for swarm sizes and website values where the
-    paper reports values spanning several orders of magnitude but with hard
-    practical bounds.
-    """
-
-    def __init__(self, alpha: float, low: float, high: float) -> None:
-        if alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {alpha}")
-        if not 0 < low < high:
-            raise ValueError(f"need 0 < low < high, got low={low} high={high}")
-        self.alpha = alpha
-        self.low = low
-        self.high = high
-        self._la = low**alpha
-        self._ha = high**alpha
-
-    def sample(self, rng: random.Random) -> float:
-        u = rng.random()
-        # Inverse CDF of the bounded Pareto.
-        x = (-(u * self._ha - u * self._la - self._ha) / (self._ha * self._la)) ** (
-            -1.0 / self.alpha
-        )
-        return min(max(x, self.low), self.high)
-
-    def mean(self) -> float:
-        """Analytic mean (alpha != 1)."""
-        a, l, h = self.alpha, self.low, self.high
-        if a == 1.0:
-            return (l * h) / (h - l) * math.log(h / l)
-        num = l**a / (1 - (l / h) ** a) * (a / (a - 1))
-        return num * (1 / l ** (a - 1) - 1 / h ** (a - 1))
 
 
 class LogNormal:
@@ -119,9 +35,6 @@ class LogNormal:
             return self.median
         return rng.lognormvariate(self._mu, self.sigma)
 
-    def mean(self) -> float:
-        return math.exp(self._mu + self.sigma**2 / 2.0)
-
 
 def poisson(rng: random.Random, lam: float) -> int:
     """Draw a Poisson variate.
@@ -144,30 +57,3 @@ def poisson(rng: random.Random, lam: float) -> int:
         if p <= threshold:
             return k
         k += 1
-
-
-def exponential(rng: random.Random, mean: float) -> float:
-    """Draw an exponential variate with the given mean."""
-    if mean <= 0:
-        raise ValueError(f"mean must be > 0, got {mean}")
-    return rng.expovariate(1.0 / mean)
-
-
-def weighted_choice(rng: random.Random, items: Sequence, weights: Sequence[float]):
-    """Pick one of ``items`` with the given (not necessarily normalised) weights."""
-    if len(items) != len(weights):
-        raise ValueError("items and weights must have equal length")
-    if not items:
-        raise ValueError("cannot choose from an empty sequence")
-    total = math.fsum(weights)
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    u = rng.random() * total
-    acc = 0.0
-    for item, w in zip(items, weights):
-        if w < 0:
-            raise ValueError(f"negative weight {w}")
-        acc += w
-        if u <= acc:
-            return item
-    return items[-1]

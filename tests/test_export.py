@@ -129,11 +129,11 @@ def _meta(path):
 
 
 class TestSchemaVersion:
-    def test_round_trip_carries_version_2(self, dataset, archive_path):
+    def test_round_trip_carries_version_3(self, dataset, archive_path):
         meta = _meta(archive_path)
-        assert SCHEMA_VERSION == "2"
-        assert meta["schema_version"] == "2"
-        # Version 2 keeps counts only in the metrics snapshot.
+        assert SCHEMA_VERSION == "3"
+        assert meta["schema_version"] == "3"
+        # Since version 2, counts live only in the metrics snapshot.
         assert "crawler_stats" not in meta
         loaded = load_dataset(archive_path)
         assert loaded.metrics == dataset.metrics
@@ -166,6 +166,42 @@ class TestSchemaVersion:
         loaded = load_dataset(path)
         assert loaded.metrics == {}
         assert set(loaded.records) == set(dataset.records)
+
+    def test_version_2_archive_loads(self, dataset, archive_path, tmp_path):
+        """Version 2 had no publishers table or torrents indexes."""
+        path = _rewrite_meta(
+            archive_path, tmp_path / "v2.sqlite", put={"schema_version": "2"}
+        )
+        conn = sqlite3.connect(path)
+        try:
+            conn.executescript(
+                "DROP TABLE publishers; DROP INDEX idx_torrents_username; "
+                "DROP INDEX idx_torrents_category;"
+            )
+        finally:
+            conn.close()
+        loaded = load_dataset(path)
+        assert set(loaded.records) == set(dataset.records)
+        assert loaded.metrics == dataset.metrics
+
+    def test_version_1_archive_without_late_columns_refused(
+        self, archive_path, tmp_path
+    ):
+        """Archives from before the per-channel columns cannot be read."""
+        path = _rewrite_meta(
+            archive_path, tmp_path / "v1-narrow.sqlite", drop=("schema_version",)
+        )
+        conn = sqlite3.connect(path)
+        try:
+            for column in ("tracker_ips", "dht_ips", "via_magnet"):
+                conn.execute(f"ALTER TABLE torrents DROP COLUMN {column}")
+            conn.commit()
+        finally:
+            conn.close()
+        with pytest.raises(
+            ValueError, match="v1-narrow.sqlite.*tracker_ips, dht_ips, via_magnet"
+        ):
+            load_dataset(path)
 
     def test_version_2_archive_requires_metrics(self, archive_path, tmp_path):
         path = _rewrite_meta(

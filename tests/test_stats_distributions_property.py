@@ -13,28 +13,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.distributions import (
-    BoundedPareto,
-    LogNormal,
-    ZipfSampler,
-    exponential,
-    poisson,
-    weighted_choice,
-)
+from repro.stats.distributions import LogNormal, poisson
 
 # Moment checks draw this many variates; loose tolerances keep them robust
-# across the whole strategy space while still catching a broken inverse CDF.
+# across the whole strategy space while still catching a broken sampler.
 MOMENT_DRAWS = 4000
 
-zipf_params = st.tuples(
-    st.integers(min_value=1, max_value=500),
-    st.floats(min_value=0.0, max_value=3.0, allow_nan=False),
-)
-pareto_params = st.tuples(
-    st.floats(min_value=0.3, max_value=4.0, allow_nan=False),
-    st.floats(min_value=0.01, max_value=50.0, allow_nan=False),
-    st.floats(min_value=1.1, max_value=10.0, allow_nan=False),
-).map(lambda t: (t[0], t[1], t[1] * t[2]))  # high = low * ratio > low
 lognormal_params = st.tuples(
     st.floats(min_value=0.01, max_value=1e4, allow_nan=False),
     st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
@@ -43,27 +27,6 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 class TestBounds:
-    @given(params=zipf_params, seed=seeds)
-    @settings(max_examples=60, deadline=None)
-    def test_zipf_ranks_stay_in_support(self, params, seed):
-        n, s = params
-        sampler = ZipfSampler(n, s)
-        rng = random.Random(seed)
-        for _ in range(50):
-            rank = sampler.sample(rng)
-            assert 1 <= rank <= n
-            assert isinstance(rank, int)
-
-    @given(params=pareto_params, seed=seeds)
-    @settings(max_examples=60, deadline=None)
-    def test_bounded_pareto_stays_in_bounds(self, params, seed):
-        alpha, low, high = params
-        sampler = BoundedPareto(alpha, low, high)
-        rng = random.Random(seed)
-        for _ in range(50):
-            value = sampler.sample(rng)
-            assert low <= value <= high
-
     @given(params=lognormal_params, seed=seeds)
     @settings(max_examples=60, deadline=None)
     def test_lognormal_strictly_positive(self, params, seed):
@@ -85,56 +48,7 @@ class TestBounds:
             assert isinstance(value, int)
             assert value >= 0
 
-    @given(
-        mean=st.floats(min_value=1e-3, max_value=1e6, allow_nan=False),
-        seed=seeds,
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_exponential_positive(self, mean, seed):
-        rng = random.Random(seed)
-        for _ in range(20):
-            assert exponential(rng, mean) >= 0.0
-
-    @given(
-        weights=st.lists(
-            st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-            min_size=1,
-            max_size=20,
-        ).filter(lambda ws: math.fsum(ws) > 0),
-        seed=seeds,
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_weighted_choice_returns_a_positive_weight_item(self, weights, seed):
-        items = list(range(len(weights)))
-        rng = random.Random(seed)
-        for _ in range(20):
-            picked = weighted_choice(rng, items, weights)
-            assert picked in items
-            # Zero-weight items must never be picked.
-            assert weights[picked] > 0.0
-
-
 class TestSeedDeterminism:
-    @given(params=zipf_params, seed=seeds)
-    @settings(max_examples=40, deadline=None)
-    def test_zipf_replays_exactly(self, params, seed):
-        n, s = params
-        sampler = ZipfSampler(n, s)
-        rng_a, rng_b = random.Random(seed), random.Random(seed)
-        assert [sampler.sample(rng_a) for _ in range(30)] == [
-            sampler.sample(rng_b) for _ in range(30)
-        ]
-
-    @given(params=pareto_params, seed=seeds)
-    @settings(max_examples=40, deadline=None)
-    def test_bounded_pareto_replays_exactly(self, params, seed):
-        alpha, low, high = params
-        sampler = BoundedPareto(alpha, low, high)
-        rng_a, rng_b = random.Random(seed), random.Random(seed)
-        assert [sampler.sample(rng_a) for _ in range(30)] == [
-            sampler.sample(rng_b) for _ in range(30)
-        ]
-
     @given(params=lognormal_params, seed=seeds)
     @settings(max_examples=40, deadline=None)
     def test_lognormal_replays_exactly(self, params, seed):
@@ -147,35 +61,17 @@ class TestSeedDeterminism:
 
     @given(
         lam=st.floats(min_value=0.0, max_value=200.0, allow_nan=False),
-        mean=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
         seed=seeds,
     )
     @settings(max_examples=40, deadline=None)
-    def test_scalar_helpers_replay_exactly(self, lam, mean, seed):
+    def test_scalar_helpers_replay_exactly(self, lam, seed):
         rng_a, rng_b = random.Random(seed), random.Random(seed)
         assert [poisson(rng_a, lam) for _ in range(20)] == [
             poisson(rng_b, lam) for _ in range(20)
         ]
-        assert [exponential(rng_a, mean) for _ in range(20)] == [
-            exponential(rng_b, mean) for _ in range(20)
-        ]
 
 
 class TestEmpiricalMoments:
-    @given(
-        alpha=st.floats(min_value=1.2, max_value=3.0, allow_nan=False),
-        seed=seeds,
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_bounded_pareto_mean_matches_analytic(self, alpha, seed):
-        sampler = BoundedPareto(alpha, 1.0, 100.0)
-        rng = random.Random(seed)
-        empirical = math.fsum(
-            sampler.sample(rng) for _ in range(MOMENT_DRAWS)
-        ) / MOMENT_DRAWS
-        analytic = sampler.mean()
-        assert abs(empirical - analytic) / analytic < 0.25
-
     @given(
         params=st.tuples(
             st.floats(min_value=1.0, max_value=100.0, allow_nan=False),
@@ -191,7 +87,7 @@ class TestEmpiricalMoments:
         empirical = math.fsum(
             sampler.sample(rng) for _ in range(MOMENT_DRAWS)
         ) / MOMENT_DRAWS
-        analytic = sampler.mean()
+        analytic = median * math.exp(sigma**2 / 2.0)
         assert abs(empirical - analytic) / analytic < 0.25
 
     @given(
@@ -207,25 +103,3 @@ class TestEmpiricalMoments:
         # eight sigma plus a small absolute floor keeps this flake-free.
         tolerance = 8.0 * math.sqrt(lam / draws) + 0.05
         assert abs(empirical - lam) < tolerance
-
-    @given(
-        mean=st.floats(min_value=0.5, max_value=1e3, allow_nan=False),
-        seed=seeds,
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_exponential_mean_matches(self, mean, seed):
-        rng = random.Random(seed)
-        empirical = math.fsum(
-            exponential(rng, mean) for _ in range(MOMENT_DRAWS)
-        ) / MOMENT_DRAWS
-        assert abs(empirical - mean) / mean < 0.25
-
-    @given(seed=seeds)
-    @settings(max_examples=15, deadline=None)
-    def test_zipf_pmf_matches_empirical_head(self, seed):
-        sampler = ZipfSampler(20, 1.1)
-        rng = random.Random(seed)
-        draws = 5000
-        hits = sum(1 for _ in range(draws) if sampler.sample(rng) == 1)
-        expected = sampler.pmf(1)
-        assert abs(hits / draws - expected) < 0.05
