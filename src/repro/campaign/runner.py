@@ -18,9 +18,10 @@ byte-identical JSON (a regression test holds this).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.analysis.contribution import analyze_contribution
 from repro.core.analysis.groups import identify_groups
@@ -28,12 +29,11 @@ from repro.core.analysis.incentives import (
     PUBLISHER_CLASS_NAMES,
     classify_top_publishers,
 )
-from repro.core.analysis.mapping import analyze_mapping
 from repro.core.collector import run_measurement_with_world
 from repro.core.datasets import Dataset
 from repro.core.validation import validate_campaign
 from repro.observability import MetricsRegistry
-from repro.simulation.scenarios import build_scenario
+from repro.simulation.scenarios import ScenarioConfig, build_scenario
 from repro.simulation.world import World
 
 # Headline-key slugs for the Section 5.1 publisher classes.
@@ -75,29 +75,23 @@ class SweepSpec:
         # Resolve every scenario name now: a typo should fail before any
         # worker process is forked, not minutes into the grid.
         for name in self.scenarios:
-            build_scenario(
-                name,
-                scale=self.scale,
-                popularity_scale=self.popularity_scale,
-                discovery=self.discovery,
-                window_days=self.window_days,
-                post_window_days=self.post_window_days,
-                wire_fidelity=self.wire_fidelity,
-            )
+            self.config(name)
+
+    def config(self, scenario: str) -> ScenarioConfig:
+        """One scenario of the grid with the shared knobs applied."""
+        return build_scenario(
+            scenario,
+            scale=self.scale,
+            popularity_scale=self.popularity_scale,
+            discovery=self.discovery,
+            window_days=self.window_days,
+            post_window_days=self.post_window_days,
+            wire_fidelity=self.wire_fidelity,
+        )
 
     def cells(self) -> List["CellSpec"]:
         return [
-            CellSpec(
-                scenario=scenario,
-                seed=seed,
-                scale=self.scale,
-                popularity_scale=self.popularity_scale,
-                discovery=self.discovery,
-                top_k=self.top_k,
-                window_days=self.window_days,
-                post_window_days=self.post_window_days,
-                wire_fidelity=self.wire_fidelity,
-            )
+            CellSpec(sweep=self, scenario=scenario, seed=seed)
             for scenario in self.scenarios
             for seed in self.seeds
         ]
@@ -123,15 +117,9 @@ class SweepSpec:
 class CellSpec:
     """One grid cell -- everything a worker needs to rebuild its campaign."""
 
+    sweep: SweepSpec
     scenario: str
     seed: int
-    scale: float = 1.0
-    popularity_scale: float = 1.0
-    discovery: Optional[str] = None
-    top_k: int = 20
-    window_days: Optional[float] = None
-    post_window_days: Optional[float] = None
-    wire_fidelity: Optional[str] = None
 
 
 @dataclass
@@ -178,8 +166,8 @@ def headline_stats(
     out["contribution.gini"] = contribution.gini_coefficient
 
     groups = identify_groups(dataset, top_k=top_k)
-    if dataset.has_usernames():
-        mapping = analyze_mapping(dataset, top_k=top_k)
+    mapping = groups.mapping
+    if mapping is not None:
         out["mapping.fake_username_share"] = mapping.fake_username_share
         out["mapping.fake_content_share"] = mapping.fake_content_share
         out["mapping.fake_download_share"] = mapping.fake_download_share
@@ -210,20 +198,12 @@ def run_campaign_cell(cell: CellSpec) -> CampaignResult:
     stays seed-deterministic.
     """
     started = time.perf_counter()
-    config = build_scenario(
-        cell.scenario,
-        scale=cell.scale,
-        popularity_scale=cell.popularity_scale,
-        discovery=cell.discovery,
-        window_days=cell.window_days,
-        post_window_days=cell.post_window_days,
-        wire_fidelity=cell.wire_fidelity,
-    )
+    config = cell.sweep.config(cell.scenario)
     registry = MetricsRegistry()
     dataset, world = run_measurement_with_world(
         config, seed=cell.seed, metrics=registry
     )
-    headline = headline_stats(dataset, world, top_k=cell.top_k)
+    headline = headline_stats(dataset, world, top_k=cell.sweep.top_k)
     summary = dataset.summary_dict()
     summary["num_true_swarms"] = world.num_swarms
     return CampaignResult(
@@ -273,34 +253,22 @@ def run_sweep(
     """
     from repro.campaign.aggregate import aggregate_results
 
-    def report_progress(message: str) -> None:
-        if progress is not None:
-            progress(message)
-
     cells = spec.cells()
     started = time.perf_counter()
     results: List[CampaignResult] = []
-    if jobs <= 1:
-        for index, cell in enumerate(cells, start=1):
-            result = run_campaign_cell(cell)
+    with ExitStack() as stack:
+        finished: Iterable[CampaignResult]
+        if jobs <= 1:
+            finished = map(run_campaign_cell, cells)
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            futures = [pool.submit(run_campaign_cell, cell) for cell in cells]
+            finished = (future.result() for future in as_completed(futures))
+        for index, result in enumerate(finished, start=1):
             results.append(result)
-            report_progress(
-                f"[{cell.scenario} seed={cell.seed}] done in "
-                f"{result.wall_seconds:.1f}s ({index}/{len(cells)})"
-            )
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(run_campaign_cell, cell): cell for cell in cells
-            }
-            from concurrent.futures import as_completed
-
-            for index, future in enumerate(as_completed(futures), start=1):
-                cell = futures[future]
-                result = future.result()
-                results.append(result)
-                report_progress(
-                    f"[{cell.scenario} seed={cell.seed}] done in "
+            if progress is not None:
+                progress(
+                    f"[{result.scenario} seed={result.seed}] done in "
                     f"{result.wall_seconds:.1f}s ({index}/{len(cells)})"
                 )
     # Grid order, not completion order: the aggregate must not know how many

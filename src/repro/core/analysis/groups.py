@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
-from repro.core.analysis.mapping import analyze_mapping
+from repro.core.analysis.mapping import MappingReport, analyze_mapping
 from repro.core.datasets import Dataset, TorrentRecord
 from repro.geoip import IspKind
 
@@ -42,6 +42,9 @@ class PublisherGroups:
     # fake entities rotate usernames, so the IP is the stable identity; the
     # seeding analysis of Fig. 4 uses this keying for the Fake group).
     fake_ip_keys: List[str] = field(default_factory=list)
+    # The Section 3.3 analysis the Fake and Top groups came from (None
+    # without usernames).
+    mapping: Optional[MappingReport] = None
 
     def group(self, name: str) -> List[str]:
         try:
@@ -107,12 +110,15 @@ def identify_groups(
     rng = random.Random(seed)
     if dataset.has_usernames():
         by_key = dataset.records_by_username()
-        groups = PublisherGroups(keyed_by="username", records_of=by_key)
         mapping = analyze_mapping(dataset, top_k=top_k)
+        groups = PublisherGroups(
+            keyed_by="username", records_of=by_key, mapping=mapping
+        )
         groups.fake = sorted(mapping.fake_usernames & set(by_key))
         groups.top = list(mapping.top_usernames)
         groups.publisher_ips = {
-            key: dataset.publisher_ips_of(key) for key in by_key
+            key: {r.publisher_ip for r in records if r.publisher_ip is not None}
+            for key, records in by_key.items()
         }
         # Per-IP view of the fake entities (Section 3's exception).  A fake
         # server reinforces its entity's whole portfolio of fake swarms, so

@@ -38,7 +38,7 @@ from repro.core.analysis.isps import (
     ovh_vs_comcast,
     top_publishers_at_hosting,
 )
-from repro.core.analysis.mapping import MappingReport, analyze_mapping
+from repro.core.analysis.mapping import MappingReport
 from repro.core.analysis.popularity import PopularityReport, popularity_by_group
 from repro.core.analysis.seeding import SeedingReport, seeding_by_group
 from repro.core.datasets import Dataset
@@ -115,8 +115,6 @@ class PaperReport:
 def build_report(dataset: Dataset, top_k: int = 100) -> PaperReport:
     """Run the complete analysis pipeline on one dataset."""
     groups = identify_groups(dataset, top_k=top_k)
-    has_usernames = dataset.has_usernames()
-    mapping = analyze_mapping(dataset, top_k=top_k) if has_usernames else None
     incentives = classify_top_publishers(dataset, groups)
     income = website_economics(dataset, incentives) if incentives else None
     business_model = (
@@ -135,7 +133,7 @@ def build_report(dataset: Dataset, top_k: int = 100) -> PaperReport:
         comcast=comcast,
         top_hosting_fraction=hosting_fraction,
         top_ovh_fraction=ovh_fraction,
-        mapping=mapping,
+        mapping=groups.mapping,
         content_types=content_type_breakdown(dataset, groups),
         popularity=popularity_by_group(dataset, groups),
         seeding=seeding_by_group(dataset, groups),

@@ -13,7 +13,7 @@ One crawler instance drives a whole campaign on the event scheduler:
    each re-announce at the tracker-advertised interval (10--15 min),
    staggered so the aggregate sampling resolution is higher than any single
    client could achieve without being blacklisted.  Monitoring stops after
-   ``empty_replies_to_stop`` consecutive empty replies.
+   :data:`EMPTY_REPLIES_TO_STOP` consecutive empty replies.
 
 Every tracker response is processed into the campaign's
 :class:`~repro.core.datasets.TorrentRecord`: distinct downloader IPs,
@@ -44,6 +44,10 @@ _CRAWLER_PEER_ID = b"-RP1000-repro-crawl1"
 # Vantage machines live outside the synthetic address plan (10.66.x.x), so
 # they can never collide with a world address.
 _VANTAGE_BASE_IP = (10 << 24) | (66 << 16)
+# Consecutive empty monitoring replies after which a swarm counts as dead.
+EMPTY_REPLIES_TO_STOP = 10
+# How long after discovery a NO_SEEDER torrent is still re-identified.
+IDENTIFICATION_RETRY_MINUTES = 90.0
 
 
 class Crawler:
@@ -221,7 +225,6 @@ class Crawler:
             request = self._announce_requests[request_key] = AnnounceRequest(
                 infohash=record.infohash,
                 client_ip=self._vantage_ips[vantage],
-                numwant=self.settings.numwant,
             )
         tracker = self.world.tracker
         if tracker.config.wire_fidelity == "sampled":
@@ -320,8 +323,7 @@ class Crawler:
     def _identification_pending(self, record: TorrentRecord, now: float) -> bool:
         if record.identification is not IdentificationOutcome.NO_SEEDER:
             return False
-        deadline = record.discovered_time + self.settings.identification_retry_minutes
-        return now <= deadline
+        return now <= record.discovered_time + IDENTIFICATION_RETRY_MINUTES
 
     # ------------------------------------------------------------------
     # Monitoring
@@ -370,7 +372,7 @@ class Crawler:
     ) -> bool:
         """The stop rule, applied after each monitoring reply.
 
-        Monitoring ends after ``empty_replies_to_stop`` consecutive empty
+        Monitoring ends after :data:`EMPTY_REPLIES_TO_STOP` consecutive empty
         replies, or when the next poll at ``next_at`` would fall past the
         horizon.  Returns True when the caller should poll again.
         """
@@ -378,7 +380,7 @@ class Crawler:
             record.empty_streak += 1
         else:
             record.empty_streak = 0
-        if record.empty_streak >= self.settings.empty_replies_to_stop:
+        if record.empty_streak >= EMPTY_REPLIES_TO_STOP:
             record.done = True
             record.monitoring_ended = now
             self._m_monitor_stops.inc(reason="empty_replies")

@@ -2,9 +2,10 @@
 
 The tracker channel gives the crawler one announce per query; the DHT gives
 it an *iterative lookup* (BEP 5): starting from the bootstrap nodes, query
-the ``alpha`` closest known-unqueried nodes with ``get_peers``, merge the
-closer nodes each response returns, and repeat until no unqueried candidate
-is closer than the ``k``-th closest node that has already responded.  Every
+the :data:`ALPHA` closest known-unqueried nodes with ``get_peers``, merge
+the closer nodes each response returns, and repeat until no unqueried
+candidate is closer than the ``K``-th closest node that has already
+responded.  Every
 hop is a real KRPC message through :class:`repro.dht.DhtNetwork`, so hop
 counts, coverage and failure behaviour are emergent, not scripted.
 
@@ -33,6 +34,7 @@ from repro.dht import (
     unpack_compact_peers,
     xor_distance,
 )
+from repro.dht.routing import K
 from repro.observability import MetricsRegistry
 
 # The crawler's DHT client lives in its own prefix (10.88.x.x): distinct
@@ -41,6 +43,10 @@ CRAWLER_DHT_IP = (10 << 24) | (88 << 16) | 1
 CRAWLER_DHT_PORT = 6881
 
 _MAX_ROUNDS = 32
+# Queries in flight per lookup round (Kademlia's alpha).
+ALPHA = 3
+# Simulated round-trip time of one lookup round.
+PER_HOP_RTT_MINUTES = 0.02
 
 
 @dataclass(frozen=True)
@@ -119,9 +125,6 @@ class DhtCrawler:
     def lookup(self, infohash: bytes, now: float) -> DhtLookupResult:
         """Resolve ``infohash`` to peers via iterative ``get_peers``."""
         target = int.from_bytes(infohash, "big")
-        k = self.network.config.k
-        alpha = self.network.config.alpha
-
         candidates: Dict[int, _Candidate] = {
             ip: _Candidate(ip=ip, port=CRAWLER_DHT_PORT)
             for ip in self.network.bootstrap_ips()
@@ -133,7 +136,7 @@ class DhtCrawler:
         rounds = 0
 
         while rounds < _MAX_ROUNDS:
-            frontier = self._pick_frontier(candidates, target, k, alpha)
+            frontier = self._pick_frontier(candidates, target)
             if not frontier:
                 break
             rounds += 1
@@ -152,7 +155,7 @@ class DhtCrawler:
                     seeders = max(seeders, seeds)
                     leechers = max(leechers, leeches)
 
-        latency = rounds * self.network.config.per_hop_rtt_minutes
+        latency = rounds * PER_HOP_RTT_MINUTES
         self._m_lookups.inc(outcome="peers" if peers else "empty")
         self._m_hops.observe(float(rounds))
         self._m_peers.observe(float(len(peers)))
@@ -179,10 +182,8 @@ class DhtCrawler:
         self,
         candidates: Dict[int, _Candidate],
         target: int,
-        k: int,
-        alpha: int,
     ) -> List[_Candidate]:
-        """The next ``alpha`` nodes worth querying, or [] at convergence."""
+        """The next :data:`ALPHA` nodes worth querying, or [] at convergence."""
         unqueried = [c for c in candidates.values() if not c.queried]
         if not unqueried:
             return []
@@ -191,10 +192,10 @@ class DhtCrawler:
             key=lambda c: c.distance_to(target),
         )
         unqueried.sort(key=lambda c: c.distance_to(target))
-        if len(responded) >= k:
-            threshold = responded[k - 1].distance_to(target)
+        if len(responded) >= K:
+            threshold = responded[K - 1].distance_to(target)
             unqueried = [c for c in unqueried if c.distance_to(target) < threshold]
-        return unqueried[:alpha]
+        return unqueried[:ALPHA]
 
     def _query_one(
         self,

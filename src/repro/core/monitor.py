@@ -64,6 +64,7 @@ class ContentPublishingMonitor(Crawler):
         self.verify_content_fraction = verify_content_fraction
         self._m_verified = self.metrics.counter("monitor.contents_verified").labels()
         self._m_fakes = self.metrics.counter("monitor.fakes_caught").labels()
+        self._started = False
 
     @property
     def publications_seen(self) -> int:
@@ -90,8 +91,11 @@ class ContentPublishingMonitor(Crawler):
     # ------------------------------------------------------------------
     def run_until(self, end_time: float) -> None:
         """Monitor the portal feed until ``end_time`` (simulated minutes),
-        then write the campaign's meta rows and commit."""
-        self.start()
+        then write the campaign's meta rows and commit.  The first call
+        starts the RSS poll chain; later calls resume it."""
+        if not self._started:
+            self._started = True
+            self.start()
         self.scheduler.run_until(end_time)
         self.store.write_meta(self.build_dataset())
         self.store.commit()

@@ -29,40 +29,29 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.dht.node import DHT_PORT, DhtNode
-from repro.dht.routing import Contact, derive_node_id, xor_distance
+from repro.dht.routing import K, Contact, derive_node_id, xor_distance
 from repro.observability import MetricsRegistry
 
 # DHT node IPs live in 10.77.0.0/16; the crawler vantages use 10.66.0.0/16
 # and simulated peers get public-looking addresses from the geoip model, so
 # the three populations never collide.
 _NODE_BASE_IP = (10 << 24) | (77 << 16)
+# Nodes in the overlay, and how many of them serve as well-known entry
+# points (the router.bittorrent.com stand-ins).
+NUM_NODES = 128
+BOOTSTRAP_COUNT = 3
 
 
 @dataclass(frozen=True)
 class DhtConfig:
-    """Shape and physics of the simulated overlay."""
+    """Per-scenario physics of the simulated overlay."""
 
-    num_nodes: int = 128
-    k: int = 8
-    alpha: int = 3
-    bootstrap_count: int = 3
     announce_ttl_minutes: float = 45.0
-    max_values: int = 150
     message_loss: float = 0.0
-    per_hop_rtt_minutes: float = 0.02
-    stale_after_minutes: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.num_nodes < 2:
-            raise ValueError("a DHT needs at least 2 nodes")
-        if not 1 <= self.bootstrap_count <= self.num_nodes:
-            raise ValueError("bootstrap_count must be in [1, num_nodes]")
-        if self.alpha < 1:
-            raise ValueError("alpha must be >= 1")
         if not 0.0 <= self.message_loss < 1.0:
             raise ValueError("message_loss must be in [0, 1)")
-        if self.per_hop_rtt_minutes < 0:
-            raise ValueError("per_hop_rtt_minutes must be >= 0")
 
 
 class DhtNetwork:
@@ -104,17 +93,14 @@ class DhtNetwork:
     ) -> "DhtNetwork":
         """Assemble the overlay deterministically from the campaign seed."""
         nodes: List[DhtNode] = []
-        for index in range(config.num_nodes):
+        for index in range(NUM_NODES):
             node_rng = random.Random(rng.getrandbits(64))
             nodes.append(
                 DhtNode(
                     node_id=derive_node_id("dht-node", seed, index),
                     ip=_NODE_BASE_IP | index,
                     port=DHT_PORT,
-                    k=config.k,
-                    stale_after=config.stale_after_minutes,
                     announce_ttl=config.announce_ttl_minutes,
-                    max_values=config.max_values,
                     token_secret=b"repro-dht-%d-%d" % (seed, index),
                     rng=node_rng,
                 )
@@ -142,7 +128,7 @@ class DhtNetwork:
 
     def bootstrap_ips(self) -> List[int]:
         """Well-known entry points (the router.bittorrent.com stand-ins)."""
-        return [node.ip for node in self.nodes[: self.config.bootstrap_count]]
+        return [node.ip for node in self.nodes[:BOOTSTRAP_COUNT]]
 
     def closest_nodes(self, target: int, count: int) -> List[DhtNode]:
         """Global closest-k view (oracle; used by the batch announce plane)."""
@@ -167,7 +153,7 @@ class DhtNetwork:
         responsible = self._placement.get(infohash)
         if responsible is None:
             responsible = self._placement[infohash] = self.closest_nodes(
-                int.from_bytes(infohash, "big"), self.config.k
+                int.from_bytes(infohash, "big"), K
             )
         for node in responsible:
             node.store_announce(

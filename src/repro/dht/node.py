@@ -44,6 +44,8 @@ from repro.dht.routing import (
 )
 
 DHT_PORT = 6881
+# Most announces one get_peers response carries; a bigger swarm is sampled.
+MAX_VALUES = 150
 
 
 @dataclass(frozen=True)
@@ -69,27 +71,22 @@ class DhtNode:
         self,
         node_id: int,
         ip: int,
+        *,
+        announce_ttl: float,
+        rng: random.Random,
         port: int = DHT_PORT,
-        k: int = 8,
-        stale_after: float = 60.0,
-        announce_ttl: float = 45.0,
-        max_values: int = 100,
         token_secret: bytes = b"",
-        rng: Optional[random.Random] = None,
     ) -> None:
         if announce_ttl <= 0:
             raise ValueError("announce_ttl must be > 0")
-        if max_values < 1:
-            raise ValueError("max_values must be >= 1")
         self.node_id = node_id
         self.ip = ip
         self.port = port
         self.announce_ttl = announce_ttl
-        self.max_values = max_values
-        self.table = RoutingTable(node_id, k=k, stale_after=stale_after)
+        self.table = RoutingTable(node_id)
         self._id_bytes = node_id_to_bytes(node_id)
         self._token_secret = token_secret or self._id_bytes[:8]
-        self._rng = rng if rng is not None else random.Random(node_id & 0xFFFFFFFF)
+        self._rng = rng
         self._store: Dict[bytes, List[StoredPeer]] = {}
         # Packed closest-node blobs per target, valid for one membership
         # version of the routing table (see _compact_closest).
@@ -223,8 +220,8 @@ class DhtNode:
                 query.tid, {b"id": self._id_bytes, b"nodes": nodes, b"token": token}
             )
         seeds = sum(1 for p in active if p.is_seed_at(now))
-        if len(active) > self.max_values:
-            sample = self._rng.sample(active, self.max_values)
+        if len(active) > MAX_VALUES:
+            sample = self._rng.sample(active, MAX_VALUES)
         else:
             sample = active
         return encode_response(

@@ -4,12 +4,12 @@ Node ids share the infohash keyspace, so "the nodes responsible for a
 torrent" are simply the ids XOR-closest to its infohash.  The table keeps
 one bucket per shared-prefix length with the local id (bucket ``i`` holds
 contacts whose ids agree with ours on exactly ``i`` leading bits), each
-bounded at ``k`` contacts.
+bounded at :data:`K` contacts.
 
 Eviction follows Kademlia's "old contacts are good contacts" rule,
 deterministically: a full bucket replaces its least-recently-seen contact
-only when that contact has not been heard from for ``stale_after``
-simulated minutes; otherwise the newcomer is dropped.  Re-observing a
+only when that contact has not been heard from for
+:data:`STALE_AFTER_MINUTES` simulated minutes; otherwise the newcomer is dropped.  Re-observing a
 known contact refreshes its ``last_seen`` in place.
 
 ``version`` counts membership changes (insert, eviction, removal, a known
@@ -27,6 +27,10 @@ from typing import Dict, List, Optional
 
 NODE_ID_BITS = 160
 NODE_ID_BYTES = NODE_ID_BITS // 8
+# Kademlia's bucket size and replication factor; BEP 5 fixes it at 8.
+K = 8
+# A full bucket's oldest contact is replaced once silent this long.
+STALE_AFTER_MINUTES = 60.0
 
 
 def node_id_from_bytes(raw: bytes) -> int:
@@ -72,16 +76,8 @@ class Contact:
 class RoutingTable:
     """The k-buckets of one DHT node."""
 
-    def __init__(
-        self, local_id: int, k: int = 8, stale_after: float = 60.0
-    ) -> None:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if stale_after <= 0:
-            raise ValueError("stale_after must be > 0")
+    def __init__(self, local_id: int) -> None:
         self.local_id = local_id
-        self.k = k
-        self.stale_after = stale_after
         # bucket index -> contacts ordered least- to most-recently seen.
         self._buckets: Dict[int, List[Contact]] = {}
         self.version = 0
@@ -106,8 +102,8 @@ class RoutingTable:
                 if existing.ip != contact.ip or existing.port != contact.port:
                     self.version += 1
                 return True
-        if len(bucket) >= self.k:
-            if now - bucket[0].last_seen <= self.stale_after:
+        if len(bucket) >= K:
+            if now - bucket[0].last_seen <= STALE_AFTER_MINUTES:
                 return False
             # Kademlia would ping the oldest first; the simulation resolves
             # the ping outcome by staleness, deterministically.
@@ -139,10 +135,8 @@ class RoutingTable:
                 return contact
         return None
 
-    def closest(self, target: int, count: Optional[int] = None) -> List[Contact]:
-        """The ``count`` contacts XOR-closest to ``target`` (default ``k``)."""
-        if count is None:
-            count = self.k
+    def closest(self, target: int, count: int = K) -> List[Contact]:
+        """The ``count`` contacts XOR-closest to ``target``."""
         contacts = [c for bucket in self._buckets.values() for c in bucket]
         contacts.sort(key=lambda c: c.node_id ^ target)
         return contacts[:count]

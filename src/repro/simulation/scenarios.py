@@ -35,11 +35,8 @@ class CrawlerSettings:
 
     rss_poll_interval: float = 5.0  # minutes between RSS polls
     vantage_count: int = 2  # geographically-distributed query machines
-    numwant: int = 200  # max peers solicited per tracker query
-    empty_replies_to_stop: int = 10  # consecutive empty replies -> stop
     max_probe_peers: int = 20  # bitfield-probe only when swarm smaller
     monitor_swarms: bool = True  # False reproduces pb09's single query
-    identification_retry_minutes: float = 90.0
     # Minutes between iterative DHT lookups while monitoring a swarm over
     # the DHT channel (lookups are costlier than tracker announces, so the
     # cadence is slower than the tracker interval).
@@ -50,10 +47,6 @@ class CrawlerSettings:
             raise ValueError("rss_poll_interval must be > 0")
         if self.vantage_count < 1:
             raise ValueError("vantage_count must be >= 1")
-        if self.numwant < 1:
-            raise ValueError("numwant must be >= 1")
-        if self.empty_replies_to_stop < 1:
-            raise ValueError("empty_replies_to_stop must be >= 1")
         if self.dht_poll_interval <= 0:
             raise ValueError("dht_poll_interval must be > 0")
 
@@ -73,10 +66,7 @@ class ScenarioConfig:
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
     # World irregularities (footnote 2 of the paper).
     prepublished_fraction: float = 0.06  # swarms already big at RSS time
-    no_seeder_fraction: float = 0.03  # publisher shows up late or never
     fake_detection_mean_days: float = 1.5  # portal moderation latency
-    # Mean download rate for peers, KB/s (2010-era home downlink).
-    peer_download_rate_kbs: float = 150.0
     # Peer-discovery channel (ISSUE 2): "tracker" is the paper's setup,
     # "dht" models a trackerless ecosystem, "hybrid" runs both.
     discovery: str = "tracker"
@@ -95,8 +85,6 @@ class ScenarioConfig:
             raise ValueError("bad window configuration")
         if not 0 <= self.prepublished_fraction <= 1:
             raise ValueError("prepublished_fraction must be in [0, 1]")
-        if not 0 <= self.no_seeder_fraction <= 1:
-            raise ValueError("no_seeder_fraction must be in [0, 1]")
         if self.popularity_scale <= 0:
             raise ValueError("popularity_scale must be > 0")
         if self.fake_detection_mean_days <= 0:

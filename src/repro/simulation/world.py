@@ -59,6 +59,11 @@ from repro.tracker import Tracker, peer_port_for_ip
 from repro.websites.model import WebDirectory
 
 ANNOUNCE_URL = "http://tracker.openbittorrent.sim/announce"
+# World irregularity (footnote 2 of the paper): the share of publications
+# whose publisher shows up late or never.
+NO_SEEDER_FRACTION = 0.03
+# Mean download rate for peers, KB/s (2010-era home downlink).
+PEER_DOWNLOAD_RATE_KBS = 150.0
 
 
 @dataclass(frozen=True)
@@ -464,7 +469,7 @@ class World:
         swarm = Swarm(infohash=meta.infohash, birth_time=birth, metrics=self.metrics)
 
         # Publisher seeding sessions.
-        seederless = rng.random() < config.no_seeder_fraction
+        seederless = rng.random() < NO_SEEDER_FRACTION
         publisher_ips: List[int] = []
         if not seederless:
             if profile.keepalive_seeding:
@@ -538,7 +543,7 @@ class World:
 
     def _download_minutes(self, size_bytes: int) -> float:
         """Expected download duration from content size and 2010-era rates."""
-        rate_bytes_per_minute = self.config.peer_download_rate_kbs * 1000.0 * 60.0
+        rate_bytes_per_minute = PEER_DOWNLOAD_RATE_KBS * 1000.0 * 60.0
         return min(max(size_bytes / rate_bytes_per_minute, 10.0), 3000.0)
 
     def _account_created_time(self, agent: PublisherAgent) -> float:

@@ -2,10 +2,10 @@
 
 Behavioural contract (matching what the paper's crawler had to cope with):
 
-- an announce returns at most ``max_numwant`` (200) *random* peers of the
-  swarm, plus current seeder/leecher counts;
+- an announce returns at most :data:`MAX_NUMWANT` (200) *random* peers of
+  the swarm, plus current seeder/leecher counts;
 - clients announcing for the same infohash more often than ``min_interval``
-  minutes get a failure response, and after ``blacklist_threshold``
+  minutes get a failure response, and after :data:`BLACKLIST_THRESHOLD`
   violations the client IP is blacklisted outright -- this is why the paper
   issues "1 query every 10 to 15 minutes" and aggregates several
   geographically-distributed vantage machines;
@@ -32,16 +32,20 @@ from repro.tracker.protocol import (
     peer_port_for_ip,
 )
 
+# Most peers one announce response carries, whatever the client asks for.
+MAX_NUMWANT = 200
+# Rate-limit violations after which a client IP is banned.
+BLACKLIST_THRESHOLD = 5
+# The sampled wire mode round-trips every this-many-th object-path message.
+WIRE_SAMPLE_INTERVAL = 64
+
 
 @dataclass(frozen=True)
 class TrackerConfig:
     """Tunable tracker policy."""
 
-    max_numwant: int = 200
     min_interval: float = 10.0  # minutes between announces per (client, swarm)
     max_interval: float = 15.0
-    blacklist_threshold: int = 5
-    completed_counts: bool = True
     # Transient overload: probability an announce fails outright (no
     # rate-limit penalty; the client simply retries later).  Real trackers
     # of the era shed load exactly like this.
@@ -49,20 +53,15 @@ class TrackerConfig:
     # Wire fidelity.  "full" serialises every announce to bencoded bytes and
     # parses them back, exactly as the real HTTP tracker protocol would.
     # "sampled" hands the in-process crawler :class:`AnnounceResponse`
-    # objects and only round-trips 1-in-``wire_sample_interval`` responses
+    # objects and only round-trips 1-in-``WIRE_SAMPLE_INTERVAL`` responses
     # through the codec, asserting the round trip is lossless each time --
     # the policy outcome (peers, counts, intervals, rng stream) is identical
     # either way, only the serialisation work is skipped.
     wire_fidelity: str = "full"
-    wire_sample_interval: int = 64
 
     def __post_init__(self) -> None:
-        if self.max_numwant < 1:
-            raise ValueError("max_numwant must be >= 1")
         if not 0 < self.min_interval <= self.max_interval:
             raise ValueError("need 0 < min_interval <= max_interval")
-        if self.blacklist_threshold < 1:
-            raise ValueError("blacklist_threshold must be >= 1")
         if not 0.0 <= self.failure_probability < 1.0:
             raise ValueError("failure_probability must be in [0, 1)")
         if self.wire_fidelity not in ("full", "sampled"):
@@ -70,8 +69,6 @@ class TrackerConfig:
                 f"wire_fidelity must be 'full' or 'sampled', "
                 f"got {self.wire_fidelity!r}"
             )
-        if self.wire_sample_interval < 1:
-            raise ValueError("wire_sample_interval must be >= 1")
 
 
 class Tracker:
@@ -177,14 +174,14 @@ class Tracker:
             self._violations[request.client_ip] = (
                 self._violations.get(request.client_ip, 0) + 1
             )
-            if self._violations[request.client_ip] >= self.config.blacklist_threshold:
+            if self._violations[request.client_ip] >= BLACKLIST_THRESHOLD:
                 self._blacklist.add(request.client_ip)
                 self._m_blacklisted.inc()
                 return "rejected_banned", "client banned"
             return "rejected_rate_limit", "announce too frequent"
         self._last_announce[key] = now
 
-        numwant = min(request.numwant, self.config.max_numwant)
+        numwant = min(request.numwant, MAX_NUMWANT)
         snapshot = swarm.query(now, numwant, self._rng)
         # Advertised interval grows with load (bigger swarms -> longer waits),
         # matching the paper's "10 to 15 minutes depending on the tracker load".
@@ -219,7 +216,7 @@ class Tracker:
         Policy, counters and the ``tracker.announces`` metric behave exactly
         as :meth:`announce`; rejections raise :class:`TrackerError` with the
         same failure message the byte path would encode.  Every
-        ``wire_sample_interval``-th message is additionally round-tripped
+        :data:`WIRE_SAMPLE_INTERVAL`-th message is additionally round-tripped
         through the real codec and asserted lossless, keeping the wire format
         continuously exercised.  ``tracker.response_bytes`` is observed once
         per checked sample and never otherwise, so its count is the number of
@@ -228,7 +225,7 @@ class Tracker:
         """
         outcome, payload = self._policy(request, now)
         self._wire_counter += 1
-        sample = self._wire_counter >= self.config.wire_sample_interval
+        sample = self._wire_counter >= WIRE_SAMPLE_INTERVAL
         if sample:
             self._wire_counter = 0
         if outcome != "served":
@@ -291,7 +288,7 @@ class Tracker:
             snapshot = swarm.query(now, 0, self._rng)
             files[infohash] = (
                 snapshot.num_seeders,
-                swarm.completions_so_far if self.config.completed_counts else 0,
+                swarm.completions_so_far,
                 snapshot.num_leechers,
             )
         response = encode_scrape_response(files)

@@ -57,7 +57,7 @@ class TestSweepSpec:
         assert [(c.scenario, c.seed) for c in cells] == [
             ("tiny", 5), ("tiny", 6), ("baseline", 5), ("baseline", 6),
         ]
-        assert all(isinstance(c, CellSpec) for c in cells)
+        assert all(isinstance(c, CellSpec) and c.sweep is spec for c in cells)
 
     def test_grid_dict_is_json_ready(self, small_spec):
         grid = small_spec.grid_dict()

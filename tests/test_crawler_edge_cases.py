@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.core.crawler import Crawler
+from repro.core.crawler import EMPTY_REPLIES_TO_STOP, Crawler
 from repro.core.datasets import IdentificationOutcome
 from repro.observability import MetricsRegistry
 from repro.simulation import CrawlerSettings, World, tiny_scenario
@@ -101,10 +101,8 @@ class TestMonitoringTermination:
         config = dataclasses.replace(
             tiny_scenario("streak"), window_days=2.0, post_window_days=4.0
         )
-        settings = CrawlerSettings(
-            rss_poll_interval=10.0, vantage_count=1, empty_replies_to_stop=3
-        )
-        dataset, _ = _crawl(config, settings=settings)
+        assert EMPTY_REPLIES_TO_STOP == 10
+        dataset, _ = _crawl(config)
         stopped_early = [
             r for r in dataset.torrents()
             if r.done and r.monitoring_ended is not None
@@ -112,4 +110,7 @@ class TestMonitoringTermination:
         ]
         assert stopped_early
         for record in stopped_early:
-            assert record.empty_streak >= 3 or record.num_queries == 0
+            assert (
+                record.empty_streak == EMPTY_REPLIES_TO_STOP
+                or record.num_queries == 0
+            )

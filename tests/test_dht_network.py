@@ -4,7 +4,11 @@ import random
 
 import pytest
 
-from repro.core.dht_crawler import CRAWLER_DHT_IP, DhtCrawler
+from repro.core.dht_crawler import (
+    CRAWLER_DHT_IP,
+    PER_HOP_RTT_MINUTES,
+    DhtCrawler,
+)
 from repro.dht import (
     DhtConfig,
     DhtNetwork,
@@ -14,13 +18,15 @@ from repro.dht import (
     node_id_to_bytes,
     xor_distance,
 )
+from repro.dht.network import BOOTSTRAP_COUNT, NUM_NODES
+from repro.dht.routing import K
 from repro.observability import MetricsRegistry
 
 INFOHASH = b"\x77" * 20
 
 
 def build_network(seed=11, metrics=None, **overrides):
-    config = DhtConfig(num_nodes=overrides.pop("num_nodes", 64), **overrides)
+    config = DhtConfig(**overrides)
     return DhtNetwork.build(
         config, seed=seed, rng=random.Random(seed),
         metrics=metrics if metrics is not None else MetricsRegistry(),
@@ -34,13 +40,8 @@ class TestDhtConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"num_nodes": 1},
-            {"bootstrap_count": 0},
-            {"num_nodes": 4, "bootstrap_count": 5},
-            {"alpha": 0},
             {"message_loss": 1.0},
             {"message_loss": -0.1},
-            {"per_hop_rtt_minutes": -1.0},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
@@ -63,16 +64,17 @@ class TestBuild:
         assert len({n.ip for n in network.nodes}) == len(network.nodes)
 
     def test_tables_are_kademlia_partial(self):
-        network = build_network(num_nodes=64, k=8)
+        network = build_network()
+        assert len(network.nodes) == NUM_NODES == 128
         for node in network.nodes:
-            # Far buckets saturate at k; every node knows somebody.
-            assert 0 < len(node.table) < 63
-            assert all(size <= 8 for size in node.table.bucket_sizes().values())
+            # Far buckets saturate at K; every node knows somebody.
+            assert 0 < len(node.table) < NUM_NODES - 1
+            assert all(size <= K for size in node.table.bucket_sizes().values())
 
     def test_bootstrap_ips(self):
         network = build_network()
         ips = network.bootstrap_ips()
-        assert len(ips) == network.config.bootstrap_count
+        assert len(ips) == BOOTSTRAP_COUNT == 3
         for ip in ips:
             assert network.node_at(ip) is not None
 
@@ -112,14 +114,14 @@ class TestBatchPlane:
         stored_on = network.announce_session(
             INFOHASH, ip=123, port=456, start=0.0, end=100.0, seed_from=10.0
         )
-        assert stored_on == network.config.k
+        assert stored_on == K == 8
         target = int.from_bytes(INFOHASH, "big")
         ranked = sorted(
             network.nodes, key=lambda n: xor_distance(n.node_id, target)
         )
-        for node in ranked[: network.config.k]:
+        for node in ranked[:K]:
             assert node.stored_intervals(INFOHASH) == 1
-        for node in ranked[network.config.k :]:
+        for node in ranked[K:]:
             assert node.stored_intervals(INFOHASH) == 0
 
 
@@ -142,7 +144,7 @@ class TestIterativeLookup:
         assert (result.seeders, result.leechers) == (1, 4)
         assert result.total_peers == 5
         assert 0 < result.hops <= 32
-        assert result.nodes_queried >= network.config.bootstrap_count
+        assert result.nodes_queried >= BOOTSTRAP_COUNT
         assert result.nodes_with_values >= 1
 
     def test_lookup_respects_announce_window(self):
@@ -182,9 +184,13 @@ class TestIterativeLookup:
         )
 
     def test_latency_scales_with_hops(self):
-        network = build_network(per_hop_rtt_minutes=0.5)
+        assert PER_HOP_RTT_MINUTES == 0.02
+        network = build_network()
         result = self._crawler(network).lookup(INFOHASH, now=0.0)
-        assert result.latency_minutes == pytest.approx(result.hops * 0.5)
+        assert result.hops > 0
+        assert result.latency_minutes == pytest.approx(
+            result.hops * PER_HOP_RTT_MINUTES
+        )
 
     def test_lookup_metrics_recorded(self):
         registry = MetricsRegistry()

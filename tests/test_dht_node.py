@@ -1,5 +1,7 @@
 """Tests for one simulated DHT node (repro.dht.node)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,16 +20,27 @@ from repro.dht.krpc import (
     unpack_compact_nodes,
     unpack_compact_peers,
 )
-from repro.dht.node import DhtNode, StoredPeer
-from repro.dht.routing import Contact, derive_node_id, node_id_to_bytes
+from repro.dht.node import MAX_VALUES, DhtNode, StoredPeer
+from repro.dht.routing import (
+    K,
+    STALE_AFTER_MINUTES,
+    Contact,
+    derive_node_id,
+    node_id_to_bytes,
+)
 
 CLIENT_ID = node_id_to_bytes(derive_node_id("client"))
 CLIENT_IP = 0x0A420001
 INFOHASH = b"\x5a" * 20
 
 
-def make_node(**kwargs):
-    return DhtNode(node_id=derive_node_id("node"), ip=0x0A4D0001, **kwargs)
+def make_node(announce_ttl=45.0):
+    return DhtNode(
+        node_id=derive_node_id("node"),
+        ip=0x0A4D0001,
+        announce_ttl=announce_ttl,
+        rng=random.Random(0),
+    )
 
 
 def ask(node, method, args, now=0.0, tid=b"t1", ip=CLIENT_IP, port=6881):
@@ -101,14 +114,14 @@ class TestPing:
 
 class TestFindNode:
     def test_returns_closest_contacts(self):
-        node = make_node(k=4)
+        node = make_node()
         for i in range(20):
             node.table.observe(
                 Contact(derive_node_id("other", i), ip=i + 1, port=6881), now=0.0
             )
         reply = ask(node, "find_node", {"target": b"\x11" * 20})
         nodes = unpack_compact_nodes(reply.values[b"nodes"])
-        assert 0 < len(nodes) <= 4
+        assert len(nodes) == K
 
     def test_missing_target_is_protocol_error(self):
         reply = ask(make_node(), "find_node", {})
@@ -141,13 +154,14 @@ class TestGetPeers:
         assert reply.values[b"peers"] == 2
 
     def test_large_swarms_sampled_to_max_values(self):
-        node = make_node(max_values=10)
-        for i in range(50):
+        assert MAX_VALUES == 150
+        node = make_node()
+        for i in range(MAX_VALUES + 50):
             node.store_announce(INFOHASH, ip=i + 1, port=1, start=0.0, end=60.0)
         reply = ask(node, "get_peers", {"info_hash": INFOHASH}, now=1.0)
-        assert len(reply.values[b"values"]) == 10
+        assert len(reply.values[b"values"]) == MAX_VALUES
         # Scrape counts still cover the full store.
-        assert reply.values[b"peers"] == 50
+        assert reply.values[b"peers"] == MAX_VALUES + 50
 
     def test_token_is_ip_bound(self):
         node = make_node()
@@ -235,8 +249,6 @@ class TestDispatchEdges:
     def test_validation(self):
         with pytest.raises(ValueError):
             make_node(announce_ttl=0.0)
-        with pytest.raises(ValueError):
-            make_node(max_values=0)
 
 
 def _uncached_blob(node, target):
@@ -245,8 +257,8 @@ def _uncached_blob(node, target):
     )
 
 
-def _populated_node(count=60, k=4, stale_after=10.0):
-    node = make_node(k=k, stale_after=stale_after)
+def _populated_node(count=200):
+    node = make_node()
     for i in range(count):
         node.table.observe(Contact(derive_node_id("n", i), ip=i + 1, port=1), 0.0)
     return node
@@ -261,7 +273,7 @@ class TestClosestBlobMemo:
             assert node._compact_closest(target) == _uncached_blob(node, target)
 
     def test_eviction_changes_next_blob(self):
-        node = _populated_node(k=2)
+        node = _populated_node()
         target = derive_node_id("target")
         before = node._compact_closest(target)
         closest = node.table.closest(target)[0]
@@ -269,7 +281,9 @@ class TestClosestBlobMemo:
         # bucket's oldest entry is stale and gets evicted.
         newcomer = closest.node_id ^ 1
         size = len(node.table)
-        assert node.table.observe(Contact(newcomer, ip=999, port=2), now=50.0)
+        assert node.table.observe(
+            Contact(newcomer, ip=999, port=2), now=STALE_AFTER_MINUTES + 1.0
+        )
         assert len(node.table) == size  # a full bucket: one contact went
         after = node._compact_closest(target)
         assert after != before

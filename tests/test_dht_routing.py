@@ -3,7 +3,9 @@
 import pytest
 
 from repro.dht.routing import (
+    K,
     NODE_ID_BITS,
+    STALE_AFTER_MINUTES,
     Contact,
     RoutingTable,
     bucket_index,
@@ -48,8 +50,18 @@ class TestNodeIds:
 
 
 class TestRoutingTable:
-    def _table(self, **kwargs):
-        return RoutingTable(local_id=derive_node_id("local"), **kwargs)
+    def _table(self):
+        return RoutingTable(local_id=derive_node_id("local"))
+
+    @staticmethod
+    def _fill_bucket_zero(table):
+        """K + 1 ids in bucket 0 (all differ from the local id in the top
+        bit); the first K are observed at minutes 0..K-1, filling it."""
+        ids = [(table.local_id ^ (1 << 159)) ^ i for i in range(K + 1)]
+        for minute, node_id in enumerate(ids[:K]):
+            assert table.observe(Contact(node_id, ip=minute + 1, port=1),
+                                 now=float(minute))
+        return ids
 
     def test_observe_and_find(self):
         table = self._table()
@@ -75,25 +87,23 @@ class TestRoutingTable:
         assert table.find(contact.node_id).last_seen == 9.0
 
     def test_full_bucket_drops_newcomer_when_fresh(self):
-        table = self._table(k=2, stale_after=100.0)
-        # All ids differing from local in the top bit land in bucket 0.
-        local = table.local_id
-        ids = [(local ^ (1 << 159)) ^ i for i in range(3)]
-        assert table.observe(Contact(ids[0], ip=1, port=1), now=0.0)
-        assert table.observe(Contact(ids[1], ip=2, port=1), now=1.0)
+        assert (K, STALE_AFTER_MINUTES) == (8, 60.0)
+        table = self._table()
+        ids = self._fill_bucket_zero(table)
         # Bucket full, oldest still fresh: newcomer rejected.
-        assert not table.observe(Contact(ids[2], ip=3, port=1), now=50.0)
-        assert ids[2] not in table
+        newcomer = Contact(ids[K], ip=99, port=1)
+        assert not table.observe(newcomer, now=STALE_AFTER_MINUTES)
+        assert ids[K] not in table
+        assert table.bucket_sizes() == {0: K}
 
     def test_full_bucket_evicts_stale_oldest(self):
-        table = self._table(k=2, stale_after=10.0)
-        local = table.local_id
-        ids = [(local ^ (1 << 159)) ^ i for i in range(3)]
-        table.observe(Contact(ids[0], ip=1, port=1), now=0.0)
-        table.observe(Contact(ids[1], ip=2, port=1), now=1.0)
-        assert table.observe(Contact(ids[2], ip=3, port=1), now=20.0)
+        table = self._table()
+        ids = self._fill_bucket_zero(table)
+        newcomer = Contact(ids[K], ip=99, port=1)
+        assert table.observe(newcomer, now=STALE_AFTER_MINUTES + 1.0)
         assert ids[0] not in table  # the stale LRU went
-        assert ids[1] in table and ids[2] in table
+        assert all(node_id in table for node_id in ids[1:])
+        assert table.bucket_sizes() == {0: K}
 
     def test_remove(self):
         table = self._table()
@@ -104,7 +114,7 @@ class TestRoutingTable:
         table.remove(table.local_id)  # no-op, no raise
 
     def test_closest_orders_by_xor(self):
-        table = self._table(k=4)
+        table = self._table()
         ids = [derive_node_id("n", i) for i in range(30)]
         for index, node_id in enumerate(ids):
             table.observe(Contact(node_id, ip=index + 1, port=1), now=0.0)
@@ -118,32 +128,30 @@ class TestRoutingTable:
         assert [c.node_id for c in closest] == best
 
     def test_bucket_sizes_capped_at_k(self):
-        table = self._table(k=3)
+        table = self._table()
         for i in range(200):
             table.observe(
                 Contact(derive_node_id("n", i), ip=i + 1, port=1), now=0.0
             )
         sizes = table.bucket_sizes()
-        assert sizes and all(size <= 3 for size in sizes.values())
+        assert max(sizes.values()) == K
         assert len(table) == sum(sizes.values())
 
     def test_version_moves_on_membership_changes(self):
-        table = self._table(k=2, stale_after=10.0)
-        local = table.local_id
-        ids = [(local ^ (1 << 159)) ^ i for i in range(3)]
+        table = self._table()
         assert table.version == 0
-        table.observe(Contact(ids[0], ip=1, port=1), now=0.0)
-        table.observe(Contact(ids[1], ip=2, port=1), now=1.0)
-        assert table.version == 2  # two inserts
-        table.observe(Contact(ids[2], ip=3, port=1), now=5.0)
-        assert table.version == 2  # dropped newcomer: no change
-        table.observe(Contact(ids[2], ip=3, port=1), now=20.0)
-        assert table.version == 3  # eviction of the stale oldest
+        ids = self._fill_bucket_zero(table)
+        assert table.version == K  # K inserts
+        newcomer = Contact(ids[K], ip=99, port=1)
+        table.observe(newcomer, now=K + 1.0)
+        assert table.version == K  # dropped newcomer: no change
+        table.observe(newcomer, now=STALE_AFTER_MINUTES + 1.0)
+        assert table.version == K + 1  # eviction of the stale oldest
         table.remove(ids[1])
-        assert table.version == 4
+        assert table.version == K + 2
         table.remove(ids[1])  # absent: no change
         table.remove(table.local_id)
-        assert table.version == 4
+        assert table.version == K + 2
 
     def test_last_seen_refresh_keeps_version(self):
         table = self._table()
@@ -162,9 +170,3 @@ class TestRoutingTable:
         table.observe(Contact(node_id, ip=2, port=6881), now=2.0)
         assert table.version == version + 1
         assert table.find(node_id).ip == 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RoutingTable(local_id=0, k=0)
-        with pytest.raises(ValueError):
-            RoutingTable(local_id=0, stale_after=0.0)

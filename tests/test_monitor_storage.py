@@ -263,6 +263,23 @@ class TestMonitor:
         assert loaded.crawler_stats["torrents_discovered"] == 300
         assert isp_ranking(loaded).rows
 
+    def test_run_until_resumes_one_poll_chain(self):
+        """A second ``run_until`` resumes the RSS polls; it does not start a
+        second chain beside the first."""
+        world = World.build(
+            tiny_scenario("monitor"), seed=55, metrics=MetricsRegistry()
+        )
+        monitor = ContentPublishingMonitor(
+            world,
+            EventScheduler(metrics=world.metrics),
+            rng=random.Random(0xB17),
+            poll_interval=10.0,
+        )
+        monitor.run_until(world.config.window_minutes / 2)
+        monitor.run_until(world.config.window_minutes)
+        assert world.metrics.counter("crawler.rss_polls").value() == 865
+        assert monitor.publications_seen == 300
+
     def test_locates_publishers_on_magnet_only_portal(self):
         """Magnet-only publications are identified over the DHT."""
         world = World.build(

@@ -20,20 +20,21 @@ from repro.tracker.protocol import (
     encode_failure,
     encode_peers_compact,
 )
+from repro.tracker.server import (
+    BLACKLIST_THRESHOLD,
+    MAX_NUMWANT,
+    WIRE_SAMPLE_INTERVAL,
+)
 
 IH = b"\x22" * 20
 CLIENT = 0x0A000001
 
 
-def make_tracker(min_interval=10.0, max_interval=15.0, blacklist=5):
+def make_tracker(min_interval=10.0, max_interval=15.0):
     return Tracker(
         "http://t.sim/announce",
         random.Random(0),
-        TrackerConfig(
-            min_interval=min_interval,
-            max_interval=max_interval,
-            blacklist_threshold=blacklist,
-        ),
+        TrackerConfig(min_interval=min_interval, max_interval=max_interval),
         metrics=MetricsRegistry(),
     )
 
@@ -136,17 +137,13 @@ class TestTrackerServer:
         assert len(decode_announce_response(raw).peers) == 7
 
     def test_numwant_capped_at_config(self):
-        tracker = Tracker(
-            "http://t.sim/a",
-            random.Random(0),
-            TrackerConfig(max_numwant=3),
-            metrics=MetricsRegistry(),
-        )
-        tracker.register_swarm(make_swarm(n_peers=10))
+        assert MAX_NUMWANT == 200
+        tracker = make_tracker()
+        tracker.register_swarm(make_swarm(n_peers=MAX_NUMWANT + 50))
         raw = tracker.announce(
-            AnnounceRequest(infohash=IH, client_ip=CLIENT, numwant=100), 10.0
+            AnnounceRequest(infohash=IH, client_ip=CLIENT, numwant=1000), 10.0
         )
-        assert len(decode_announce_response(raw).peers) == 3
+        assert len(decode_announce_response(raw).peers) == MAX_NUMWANT
 
     def test_unknown_infohash_fails(self):
         tracker = make_tracker()
@@ -176,12 +173,15 @@ class TestTrackerServer:
         )
 
     def test_blacklist_after_repeated_violations(self):
-        tracker = make_tracker(min_interval=10.0, blacklist=3)
+        assert BLACKLIST_THRESHOLD == 5
+        tracker = make_tracker(min_interval=10.0)
         tracker.register_swarm(make_swarm())
         req = AnnounceRequest(infohash=IH, client_ip=CLIENT)
         tracker.announce(req, 0.0)
-        for i in range(3):
+        for i in range(BLACKLIST_THRESHOLD - 1):
             tracker.announce(req, 0.1 + i * 0.01)
+        assert not tracker.is_blacklisted(CLIENT)
+        tracker.announce(req, 0.5)
         assert tracker.is_blacklisted(CLIENT)
         with pytest.raises(TrackerError, match="banned"):
             decode_announce_response(tracker.announce(req, 100.0))
@@ -225,8 +225,6 @@ class TestTrackerServer:
             TrackerConfig(min_interval=0)
         with pytest.raises(ValueError):
             TrackerConfig(min_interval=20, max_interval=10)
-        with pytest.raises(ValueError):
-            TrackerConfig(max_numwant=0)
 
 
 class TestWireFidelity:
@@ -264,8 +262,6 @@ class TestWireFidelity:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="wire_fidelity"):
             TrackerConfig(wire_fidelity="compressed")
-        with pytest.raises(ValueError, match="wire_sample_interval"):
-            TrackerConfig(wire_sample_interval=0)
 
     def test_served_responses_identical(self):
         full, sampled = self._paired_trackers()
@@ -331,33 +327,37 @@ class TestWireFidelity:
         assert full_outcomes == sampled_outcomes
 
     def test_every_message_checked_at_interval_one(self):
-        _, sampled = self._paired_trackers(wire_sample_interval=1)
-        for step in range(5):
+        """Rejections count towards the sample and are checked when they
+        land on it, as served responses are."""
+        _, sampled = self._paired_trackers()
+        for step in range(WIRE_SAMPLE_INTERVAL - 1):
             sampled.announce_object(
                 AnnounceRequest(infohash=IH, client_ip=CLIENT + step), 1.0 + step
             )
+        assert self._responses_encoded(sampled) == 0
         with pytest.raises(TrackerError):
             sampled.announce_object(
-                AnnounceRequest(infohash=b"\x44" * 20, client_ip=CLIENT), 10.0
+                AnnounceRequest(infohash=b"\x44" * 20, client_ip=CLIENT), 100.0
             )
-        assert self._responses_encoded(sampled) == 6
+        assert self._responses_encoded(sampled) == 1
 
     def test_sampling_interval_respected(self):
-        _, sampled = self._paired_trackers(wire_sample_interval=4)
-        for step in range(10):
+        assert WIRE_SAMPLE_INTERVAL == 64
+        _, sampled = self._paired_trackers()
+        for step in range(2 * WIRE_SAMPLE_INTERVAL + 2):
             sampled.announce_object(
                 AnnounceRequest(infohash=IH, client_ip=CLIENT + step), 1.0 + step
             )
-        assert self._responses_encoded(sampled) == 2  # messages 4 and 8
+        assert self._responses_encoded(sampled) == 2  # messages 64 and 128
 
     def test_byte_path_never_samples(self):
-        full, _ = self._paired_trackers(wire_sample_interval=1)
-        for step in range(5):
+        full, _ = self._paired_trackers()
+        for step in range(WIRE_SAMPLE_INTERVAL):
             full.announce(
                 AnnounceRequest(infohash=IH, client_ip=CLIENT + step), 1.0 + step
             )
         # One encoding per response; no extra round-trip check.
-        assert self._responses_encoded(full) == 5
+        assert self._responses_encoded(full) == WIRE_SAMPLE_INTERVAL
 
     def test_announce_counters_identical(self):
         full, sampled = self._paired_trackers()

@@ -144,7 +144,7 @@ class TestWorldBuild:
         assert world.num_pieces_for(truth.torrent_id) == parse_torrent(raw).num_pieces
 
     def test_seederless_fraction_in_configured_band(self, world):
-        """no_seeder_fraction + fake stealth both produce seederless births."""
+        """NO_SEEDER_FRACTION + fake stealth both produce seederless births."""
         non_fake = [t for t in world.truth.torrents if not t.is_fake]
         seederless = sum(1 for t in non_fake if t.seederless_at_birth)
         assert seederless / len(non_fake) < 0.12
