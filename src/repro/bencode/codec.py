@@ -18,9 +18,11 @@ round-tripping.
 convenience; decoding always returns ``bytes`` keys/values, as real
 BitTorrent implementations do.
 
-Metainfo, KRPC messages and every non-canonical tracker response go
-through this codec (canonical announce responses take a fixed-shape path
-in :mod:`repro.tracker.protocol`), so the implementation is tuned:
+Metainfo, KRPC messages other than canonical ``get_peers`` and every
+non-canonical tracker response go through this codec (canonical announce
+responses and ``get_peers`` messages take fixed-shape paths in
+:mod:`repro.tracker.protocol` and :mod:`repro.dht.krpc`), so the
+implementation is tuned:
 
 - :func:`bdecode` is non-recursive (an explicit container stack), compares
   single bytes as integers instead of allocating 1-byte slices, and accepts

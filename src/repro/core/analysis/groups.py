@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.core.analysis.mapping import MappingReport, analyze_mapping
-from repro.core.datasets import Dataset, TorrentRecord
+from repro.core.datasets import Dataset, TorrentRecord, publisher_ips
 from repro.geoip import IspKind
 
 ALL_SAMPLE_SIZE = 400
@@ -117,8 +117,7 @@ def identify_groups(
         groups.fake = sorted(mapping.fake_usernames & set(by_key))
         groups.top = list(mapping.top_usernames)
         groups.publisher_ips = {
-            key: {r.publisher_ip for r in records if r.publisher_ip is not None}
-            for key, records in by_key.items()
+            key: publisher_ips(records) for key, records in by_key.items()
         }
         # Per-IP view of the fake entities (Section 3's exception).  A fake
         # server reinforces its entity's whole portfolio of fake swarms, so

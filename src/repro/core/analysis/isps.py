@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.datasets import Dataset
+from repro.core.datasets import Dataset, publisher_ips
 from repro.geoip import IspKind, prefix_of
 
 
@@ -126,7 +126,7 @@ def top_publishers_at_hosting(
     if dataset.has_usernames():
         by_key = dataset.records_by_username()
         ranked = sorted(by_key, key=lambda k: len(by_key[k]), reverse=True)[:top_k]
-        ips_of = {k: dataset.publisher_ips_of(k) for k in ranked}
+        ips_of = {k: publisher_ips(by_key[k]) for k in ranked}
     else:
         by_ip = dataset.records_by_publisher_ip()
         ranked_ips = sorted(by_ip, key=lambda ip: len(by_ip[ip]), reverse=True)[:top_k]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
 from repro.agents.naming import looks_random_username
-from repro.core.datasets import Dataset
+from repro.core.datasets import Dataset, publisher_ips
 
 # An IP used by at least this many distinct usernames is a fake server.
 FAKE_IP_USERNAME_THRESHOLD = 3
@@ -144,7 +144,7 @@ def analyze_mapping(dataset: Dataset, top_k: int = 100) -> MappingReport:
     top_users = sorted(
         by_username, key=lambda u: len(by_username[u]), reverse=True
     )[:top_k]
-    user_ips = {u: dataset.publisher_ips_of(u) for u in top_users}
+    user_ips = {u: publisher_ips(by_username[u]) for u in top_users}
     multi_users = [u for u in top_users if len(user_ips[u]) > 1]
     with_any_ip = [u for u in top_users if user_ips[u]]
 

@@ -101,6 +101,11 @@ class TorrentRecord:
         return times
 
 
+def publisher_ips(records: Iterable[TorrentRecord]) -> Set[int]:
+    """Every publisher IP identified across ``records``."""
+    return {r.publisher_ip for r in records if r.publisher_ip is not None}
+
+
 @dataclass
 class Dataset:
     """One campaign's observations plus the public lookup services."""
@@ -202,9 +207,11 @@ class Dataset:
         return out
 
     def publisher_ips_of(self, username: str) -> Set[int]:
-        """Every IP this username was identified publishing from."""
-        ips: Set[int] = set()
-        for record in self.records.values():
-            if record.username == username and record.publisher_ip is not None:
-                ips.add(record.publisher_ip)
-        return ips
+        """Every IP this username was identified publishing from.
+
+        Scans every record; to cover many usernames, apply
+        :func:`publisher_ips` to :meth:`records_by_username` lists instead.
+        """
+        return publisher_ips(
+            r for r in self.records.values() if r.username == username
+        )

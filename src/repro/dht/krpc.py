@@ -17,13 +17,24 @@ Like the bencode layer underneath, the decoder is strict: unknown ``y``
 values, non-bytes transaction ids, unknown query methods and malformed
 compact blobs all raise :class:`KrpcError` rather than decoding to
 something half-usable.
+
+``get_peers`` is the one message of a crawl's hot loop, so its canonical
+query and its two canonical reply shapes (nodes + token, and nodes + scrape
+counts + token + values) skip the generic codec both ways.  They are built
+from bytes templates that are byte-identical to ``bencode`` of the sorted
+dicts, and :func:`decode_message` matches them byte for byte before it
+falls back to :func:`bdecode`.  Every other message -- ping, find_node,
+announce_peer, errors, extra keys, non-canonical integers, malformed bytes
+-- takes the generic path, which decides its value or its error.  Both
+paths return equal results for every input; property tests pin that.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.bencode import BencodeError, bdecode, bencode
 
@@ -75,15 +86,57 @@ class KrpcErrorMessage:
     message: str
 
 
+# ``bencode`` of the canonical get_peers query and of its two reply shapes,
+# keys in sorted order.  Each template is byte-identical to the codec's
+# output for bytes fields and int counts; tests pin that.
+_GET_PEERS_QUERY = b"d1:ad2:id%d:%b9:info_hash%d:%be1:q9:get_peers1:t%d:%b1:y1:qe"
+_GET_PEERS_NODES = b"d1:rd2:id%d:%b5:nodes%d:%b5:token%d:%be1:t%d:%b1:y1:re"
+_GET_PEERS_VALUES = (
+    b"d1:rd2:id%d:%b5:nodes%d:%b5:peersi%de5:seedsi%de5:token%d:%b"
+    b"6:valuesl%bee1:t%d:%b1:y1:re"
+)
+# One ``values`` list item: the bencode length prefix + compact peer info.
+_VALUE_ITEM = struct.Struct(">2sIH")
+
+# The exact canonical get_peers shapes, piece by piece.  Ids are 20 bytes,
+# integers are canonical (no sign, no leading zeros) and digit runs are
+# bounded, so anything else takes the generic path.
+_QUERY_SHAPE = re.compile(
+    rb"d1:ad2:id20:(.{20})9:info_hash20:(.{20})e1:q9:get_peers"
+    rb"1:t([1-9][0-9]{0,8}):",
+    re.DOTALL,
+)
+_REPLY_HEAD = re.compile(rb"d1:rd2:id20:(.{20})5:nodes(0|[1-9][0-9]{0,8}):", re.DOTALL)
+_REPLY_SCRAPE = re.compile(
+    rb"5:peersi(0|[1-9][0-9]{0,17})e5:seedsi(0|[1-9][0-9]{0,17})e"
+)
+_REPLY_TOKEN = re.compile(rb"5:token(0|[1-9][0-9]{0,8}):")
+_REPLY_VALUES = re.compile(rb"6:valuesl((?:6:.{6})*)e", re.DOTALL)
+_REPLY_TID = re.compile(rb"e1:t([1-9][0-9]{0,8}):")
+_VALUE_ENTRY = re.compile(rb"6:(.{6})", re.DOTALL)
+
+
 # The envelopes below are keyed by canonical (sorted) bytes, so bencode's
 # fast path encodes them without normalising keys.  Payloads may be keyed
 # by str or bytes; handlers on the hot path pass sorted bytes keys too.
 def encode_query(tid: bytes, method: str, args: Dict[Key, object]) -> bytes:
-    """Encode one KRPC query."""
+    """Encode one KRPC query.
+
+    A ``get_peers`` query whose arguments are exactly ``{b"id", b"info_hash"}``
+    with bytes values comes from :data:`_GET_PEERS_QUERY`; every other query
+    goes through :func:`bencode`.
+    """
     if not isinstance(tid, bytes) or not tid:
         raise KrpcError("transaction id must be non-empty bytes")
     if method not in KNOWN_METHODS:
         raise KrpcError(f"unknown KRPC method {method!r}")
+    if method == "get_peers" and len(args) == 2:
+        sender_id = args.get(b"id")
+        infohash = args.get(b"info_hash")
+        if sender_id.__class__ is bytes and infohash.__class__ is bytes:
+            return _GET_PEERS_QUERY % (
+                len(sender_id), sender_id, len(infohash), infohash, len(tid), tid
+            )
     return bencode(
         {b"a": dict(args), b"q": method.encode(), b"t": tid, b"y": b"q"}
     )
@@ -94,6 +147,39 @@ def encode_response(tid: bytes, values: Dict[Key, object]) -> bytes:
     if not isinstance(tid, bytes) or not tid:
         raise KrpcError("transaction id must be non-empty bytes")
     return bencode({b"r": dict(values), b"t": tid, b"y": b"r"})
+
+
+def encode_get_peers_response(
+    tid: bytes,
+    node_id: bytes,
+    nodes: bytes,
+    token: bytes,
+    values: Optional[Iterable[Tuple[int, int]]] = None,
+    *,
+    peers: int = 0,
+    seeds: int = 0,
+) -> bytes:
+    """Encode a ``get_peers`` reply from its template.
+
+    Without ``values`` the reply is ``{id, nodes, token}``; with them (as
+    ``(ip, port)`` pairs) it is ``{id, nodes, peers, seeds, token, values}``.
+    Equal to :func:`encode_response` of the same sorted bytes-keyed dict.
+    """
+    if not isinstance(tid, bytes) or not tid:
+        raise KrpcError("transaction id must be non-empty bytes")
+    if values is None:
+        return _GET_PEERS_NODES % (
+            len(node_id), node_id, len(nodes), nodes, len(token), token, len(tid), tid
+        )
+    pack = _VALUE_ITEM.pack
+    try:
+        items = b"".join([pack(b"6:", ip, port) for ip, port in values])
+    except struct.error as exc:
+        raise KrpcError(f"peer out of compact range: {exc}") from None
+    return _GET_PEERS_VALUES % (
+        len(node_id), node_id, len(nodes), nodes, peers, seeds,
+        len(token), token, items, len(tid), tid,
+    )
 
 
 def encode_error(tid: bytes, code: int, message: str) -> bytes:
@@ -111,7 +197,64 @@ def encode_error(tid: bytes, code: int, message: str) -> bytes:
 
 
 def decode_message(raw: bytes):
-    """Decode KRPC bytes into a query / response / error message."""
+    """Decode KRPC bytes into a query / response / error message.
+
+    A canonical ``get_peers`` query or reply is matched byte for byte and
+    sliced directly; everything else goes through :func:`bdecode`.
+    """
+    if raw.__class__ is bytes:
+        message = _decode_get_peers(raw)
+        if message is not None:
+            return message
+    return _decode_message_generic(raw)
+
+
+def _decode_get_peers(raw: bytes):
+    """The canonical ``get_peers`` message in ``raw``, or None."""
+    match = _QUERY_SHAPE.match(raw)
+    if match is not None:
+        start = match.end()
+        end = start + int(match[3])
+        if len(raw) == end + 7 and raw.endswith(b"1:y1:qe"):
+            return KrpcQuery(
+                tid=raw[start:end],
+                method="get_peers",
+                args={b"id": match[1], b"info_hash": match[2]},
+            )
+        return None
+    match = _REPLY_HEAD.match(raw)
+    if match is None:
+        return None
+    pos = match.end() + int(match[2])
+    values: Dict[bytes, object] = {b"id": match[1], b"nodes": raw[match.end() : pos]}
+    scrape = _REPLY_SCRAPE.match(raw, pos)
+    if scrape is not None:
+        values[b"peers"] = int(scrape[1])
+        values[b"seeds"] = int(scrape[2])
+        pos = scrape.end()
+    match = _REPLY_TOKEN.match(raw, pos)
+    if match is None:
+        return None
+    pos = match.end() + int(match[1])
+    values[b"token"] = raw[match.end() : pos]
+    if scrape is not None:
+        match = _REPLY_VALUES.match(raw, pos)
+        if match is None:
+            return None
+        values[b"values"] = _VALUE_ENTRY.findall(match[1])
+        pos = match.end()
+    match = _REPLY_TID.match(raw, pos)
+    if match is None:
+        return None
+    start = match.end()
+    end = start + int(match[1])
+    if len(raw) != end + 7 or not raw.endswith(b"1:y1:re"):
+        return None
+    return KrpcResponse(tid=raw[start:end], values=values)
+
+
+def _decode_message_generic(raw: bytes):
+    """Decode any KRPC message through :func:`bdecode`."""
     try:
         decoded = bdecode(raw)
     except BencodeError as exc:
@@ -165,23 +308,24 @@ def node_id_to_bytes_or_raise(value: object, name: str) -> bytes:
 # ---------------------------------------------------------------------------
 # Compact contact encodings
 # ---------------------------------------------------------------------------
+_PEER = struct.Struct(">IH")
+_NODE = struct.Struct(">20sIH")
+
+
 def pack_compact_peer(ip: int, port: int) -> bytes:
     """6-byte compact peer info (BEP 5 / BEP 23)."""
     if not 0 <= ip <= 0xFFFFFFFF:
         raise KrpcError(f"ip {ip} out of IPv4 range")
     if not 0 <= port <= 0xFFFF:
         raise KrpcError(f"port {port} out of range")
-    return struct.pack(">IH", ip, port)
+    return _PEER.pack(ip, port)
 
 
 def unpack_compact_peers(data: bytes) -> List[Tuple[int, int]]:
     """Decode a concatenation of 6-byte compact peer entries."""
     if len(data) % 6 != 0:
         raise KrpcError(f"compact peer blob of {len(data)} bytes (not 6*N)")
-    return [
-        struct.unpack(">IH", data[offset : offset + 6])
-        for offset in range(0, len(data), 6)
-    ]
+    return list(_PEER.iter_unpack(data))
 
 
 def pack_compact_nodes(nodes: List[Tuple[bytes, int, int]]) -> bytes:
@@ -198,9 +342,4 @@ def unpack_compact_nodes(data: bytes) -> List[Tuple[bytes, int, int]]:
     """Decode a concatenation of 26-byte compact node entries."""
     if len(data) % 26 != 0:
         raise KrpcError(f"compact node blob of {len(data)} bytes (not 26*N)")
-    nodes: List[Tuple[bytes, int, int]] = []
-    for offset in range(0, len(data), 26):
-        node_id = data[offset : offset + 20]
-        ip, port = struct.unpack(">IH", data[offset + 20 : offset + 26])
-        nodes.append((node_id, ip, port))
-    return nodes
+    return list(_NODE.iter_unpack(data))

@@ -31,10 +31,10 @@ from repro.dht.krpc import (
     KrpcQuery,
     decode_message,
     encode_error,
+    encode_get_peers_response,
     encode_response,
     node_id_to_bytes_or_raise,
     pack_compact_nodes,
-    pack_compact_peer,
 )
 from repro.dht.routing import (
     Contact,
@@ -216,24 +216,20 @@ class DhtNode:
         nodes = self._compact_closest(node_id_from_bytes(infohash))
         active = self.peers_for(infohash, now)
         if not active:
-            return encode_response(
-                query.tid, {b"id": self._id_bytes, b"nodes": nodes, b"token": token}
-            )
+            return encode_get_peers_response(query.tid, self._id_bytes, nodes, token)
         seeds = sum(1 for p in active if p.is_seed_at(now))
         if len(active) > MAX_VALUES:
             sample = self._rng.sample(active, MAX_VALUES)
         else:
             sample = active
-        return encode_response(
+        return encode_get_peers_response(
             query.tid,
-            {
-                b"id": self._id_bytes,
-                b"nodes": nodes,
-                b"peers": len(active) - seeds,
-                b"seeds": seeds,
-                b"token": token,
-                b"values": [pack_compact_peer(p.ip, p.port) for p in sample],
-            },
+            self._id_bytes,
+            nodes,
+            token,
+            [(p.ip, p.port) for p in sample],
+            peers=len(active) - seeds,
+            seeds=seeds,
         )
 
     def _handle_announce_peer(

@@ -31,6 +31,7 @@ from repro.core.analysis.mapping import analyze_mapping, detect_fake_publishers
 from repro.core.analysis.popularity import popularity_by_group
 from repro.core.analysis.seeding import derive_threshold, seeding_by_group
 from repro.agents.profiles import PublisherClass
+from repro.core.datasets import publisher_ips
 
 from tests.conftest import TINY_TOP_K
 
@@ -78,6 +79,16 @@ class TestMapping:
         # High recall and high precision against ground truth.
         assert overlap / len(truth_fake_usernames) > 0.85
         assert overlap / len(detected) > 0.85
+
+    def test_grouped_publisher_ips_match_per_username_scan(self, dataset, groups):
+        """The IP sets the analyses build from grouped records are the
+        per-username scans, for every username."""
+        by_username = dataset.records_by_username()
+        assert by_username
+        for username, records in by_username.items():
+            ips = dataset.publisher_ips_of(username)
+            assert publisher_ips(records) == ips
+            assert groups.publisher_ips[username] == ips
 
     def test_fake_ips_are_truly_fake(self, dataset, world):
         fake_ips, _, _ = detect_fake_publishers(dataset)

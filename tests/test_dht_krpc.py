@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bencode import bdecode, bencode, codec
+from repro.dht import krpc
 from repro.dht.krpc import (
     ERROR_GENERIC,
     ERROR_PROTOCOL,
@@ -16,6 +17,7 @@ from repro.dht.krpc import (
     KrpcResponse,
     decode_message,
     encode_error,
+    encode_get_peers_response,
     encode_query,
     encode_response,
     node_id_to_bytes_or_raise,
@@ -304,3 +306,232 @@ class TestCanonicalFastPath:
             },
         )
         encode_error(b"t", ERROR_GENERIC, "x")
+
+
+# ----------------------------------------------------------------------
+# The fixed-shape get_peers path: templates out, exact-shape decode in.
+# Both shortcuts are sound only while they agree with the generic codec.
+# ----------------------------------------------------------------------
+# Transaction ids whose lengths take 1 to 4 digits.
+_any_tids = (
+    st.binary(min_size=1, max_size=9)
+    | st.binary(min_size=10, max_size=99)
+    | st.binary(min_size=100, max_size=999)
+    | st.binary(min_size=1000, max_size=1010)
+)
+_tokens = st.binary(max_size=12)
+# Counts beyond the fast path's 18-digit bound exercise the fallback.
+_big_counts = _counts | st.integers(min_value=0, max_value=10**25)
+_peer_pairs = st.tuples(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=0, max_value=0xFFFF),
+)
+_value_lists = st.sampled_from([0, 1, 150]).flatmap(
+    lambda n: st.lists(_peer_pairs, min_size=n, max_size=n)
+)
+
+
+def _outcome(raw):
+    try:
+        return ("value", decode_message(raw))
+    except KrpcError as exc:
+        return ("error", type(exc), str(exc))
+
+
+def _generic_outcome(raw):
+    try:
+        return ("value", krpc._decode_message_generic(raw))
+    except KrpcError as exc:
+        return ("error", type(exc), str(exc))
+
+
+@st.composite
+def _get_peers_messages(draw):
+    """A canonical get_peers query, nodes reply or values reply."""
+    tid = draw(_any_tids)
+    node_id = draw(_ids)
+    kind = draw(st.sampled_from(("query", "nodes", "values")))
+    if kind == "query":
+        return encode_query(tid, "get_peers", {b"id": node_id, b"info_hash": draw(_ids)})
+    nodes = draw(_compact_nodes)
+    token = draw(_tokens)
+    if kind == "nodes":
+        return encode_get_peers_response(tid, node_id, nodes, token)
+    return encode_get_peers_response(
+        tid,
+        node_id,
+        nodes,
+        token,
+        draw(st.lists(_peer_pairs, max_size=6)),
+        peers=draw(_big_counts),
+        seeds=draw(_big_counts),
+    )
+
+
+@st.composite
+def _variants(draw):
+    """A canonical get_peers message, or one mutated, truncated or extended."""
+    data = draw(_get_peers_messages())
+    kind = draw(st.sampled_from(("same", "flip", "truncate", "extend", "splice")))
+    if kind == "flip":
+        index = draw(st.integers(0, len(data) - 1))
+        return data[:index] + bytes([draw(st.integers(0, 255))]) + data[index + 1 :]
+    if kind == "truncate":
+        return data[: draw(st.integers(0, len(data)))]
+    if kind == "extend":
+        return data + draw(st.binary(min_size=1, max_size=8))
+    if kind == "splice":
+        index = draw(st.integers(0, len(data)))
+        return data[:index] + draw(st.binary(min_size=1, max_size=8)) + data[index:]
+    return data
+
+
+class TestGetPeersTemplates:
+    @given(_any_tids, _ids, _ids)
+    @settings(max_examples=150, deadline=None)
+    def test_query_template_matches_codec(self, tid, node_id, infohash):
+        assert encode_query(
+            tid, "get_peers", {b"id": node_id, b"info_hash": infohash}
+        ) == bencode(
+            {b"a": {b"id": node_id, b"info_hash": infohash}, b"q": b"get_peers",
+             b"t": tid, b"y": b"q"}
+        )
+
+    @given(_any_tids, _ids, _compact_nodes, _tokens)
+    @settings(max_examples=150, deadline=None)
+    def test_nodes_template_matches_codec(self, tid, node_id, nodes, token):
+        expected = bencode(
+            {b"r": {b"id": node_id, b"nodes": nodes, b"token": token},
+             b"t": tid, b"y": b"r"}
+        )
+        assert encode_get_peers_response(tid, node_id, nodes, token) == expected
+
+    @given(_any_tids, _ids, _compact_nodes, _tokens, _value_lists, _big_counts,
+           _big_counts)
+    @settings(max_examples=150, deadline=None)
+    def test_values_template_matches_codec(
+        self, tid, node_id, nodes, token, values, peers, seeds
+    ):
+        expected = bencode(
+            {
+                b"r": {
+                    b"id": node_id,
+                    b"nodes": nodes,
+                    b"peers": peers,
+                    b"seeds": seeds,
+                    b"token": token,
+                    b"values": [pack_compact_peer(ip, port) for ip, port in values],
+                },
+                b"t": tid,
+                b"y": b"r",
+            }
+        )
+        assert encode_get_peers_response(
+            tid, node_id, nodes, token, values, peers=peers, seeds=seeds
+        ) == expected
+
+    def test_out_of_range_peer_rejected(self):
+        with pytest.raises(KrpcError, match="compact range"):
+            encode_get_peers_response(b"t", b"\x01" * 20, b"", b"", [(2**32, 80)])
+        with pytest.raises(KrpcError, match="transaction id"):
+            encode_get_peers_response(b"", b"\x01" * 20, b"", b"")
+
+
+class TestGetPeersFastDecode:
+    @given(_variants())
+    @settings(max_examples=500, deadline=None)
+    def test_fast_decode_agrees_with_generic(self, raw):
+        assert _outcome(raw) == _generic_outcome(raw)
+
+    @given(_get_peers_messages())
+    @settings(max_examples=150, deadline=None)
+    def test_round_trip_values(self, raw):
+        message = decode_message(raw)
+        assert message == krpc._decode_message_generic(raw)
+        assert bencode(
+            {b"a": message.args, b"q": b"get_peers", b"t": message.tid, b"y": b"q"}
+            if isinstance(message, KrpcQuery)
+            else {b"r": message.values, b"t": message.tid, b"y": b"r"}
+        ) == raw
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            # Tail byte changed, and the tail doubled.
+            b"d1:ad2:id20:" + b"\x01" * 20 + b"9:info_hash20:" + b"\x02" * 20
+            + b"e1:q9:get_peers1:t2:aa1:y1:xe",
+            b"d1:ad2:id20:" + b"\x01" * 20 + b"9:info_hash20:" + b"\x02" * 20
+            + b"e1:q9:get_peers1:t2:aa1:y1:qe1:y1:qe",
+            # The tid cut short of its declared length.
+            b"d1:rd2:id20:" + b"\x01" * 20 + b"5:nodes0:5:token1:ke1:t9:aa1:y1:re",
+            # Leading zeros in a count and in a length: not canonical.
+            b"d1:rd2:id20:" + b"\x01" * 20 + b"5:nodes0:5:peersi01e5:seedsi0e"
+            b"5:token1:k6:valuesle1:t2:aa1:y1:re",
+            b"d1:rd2:id20:" + b"\x01" * 20 + b"5:nodes00:5:token1:ke1:t2:aa1:y1:re",
+            # Negative count: valid bencode, outside the fast shape.
+            b"d1:rd2:id20:" + b"\x01" * 20 + b"5:nodes0:5:peersi-1e5:seedsi0e"
+            b"5:token1:k6:valuesle1:t2:aa1:y1:re",
+            # A 7-byte values entry, and scrape counts without values.
+            b"d1:rd2:id20:" + b"\x01" * 20 + b"5:nodes0:5:peersi1e5:seedsi0e"
+            b"5:token1:k6:valuesl7:abcdefgee1:t2:aa1:y1:re",
+            b"d1:rd2:id20:" + b"\x01" * 20 + b"5:nodes0:5:peersi1e5:seedsi0e"
+            b"5:token1:ke1:t2:aa1:y1:re",
+            # A 19-byte id and an extra key in the reply.
+            b"d1:rd2:id19:" + b"\x01" * 19 + b"5:nodes0:5:token1:ke1:t2:aa1:y1:re",
+            b"d1:rd2:id20:" + b"\x01" * 20 + b"5:nodes0:5:token1:k5:zzzzzi0ee"
+            b"1:t2:aa1:y1:re",
+        ],
+    )
+    def test_non_canonical_shapes_take_generic_path(self, raw):
+        assert krpc._decode_get_peers(raw) is None
+        assert _outcome(raw) == _generic_outcome(raw)
+
+    def test_canonical_messages_never_reach_bdecode(self, monkeypatch):
+        def fail(raw):
+            raise AssertionError(f"generic path taken for {raw!r}")
+
+        monkeypatch.setattr(krpc, "bdecode", fail)
+        node_id, infohash = b"\x01" * 20, b"\x02" * 20
+        query = decode_message(
+            encode_query(b"\x00\x00\x00\x07", "get_peers",
+                         {b"id": node_id, b"info_hash": infohash})
+        )
+        assert query == KrpcQuery(
+            tid=b"\x00\x00\x00\x07", method="get_peers",
+            args={b"id": node_id, b"info_hash": infohash},
+        )
+        nodes = pack_compact_nodes([(b"\x03" * 20, 0x0A4D0001, 6881)])
+        reply = decode_message(encode_get_peers_response(b"t", node_id, nodes, b"tok"))
+        assert reply == KrpcResponse(
+            tid=b"t", values={b"id": node_id, b"nodes": nodes, b"token": b"tok"}
+        )
+        values = [(0x0A000001, 51413), (0x0A000002, 1)]
+        reply = decode_message(
+            encode_get_peers_response(
+                b"t", node_id, nodes, b"tok", values, peers=3, seeds=1
+            )
+        )
+        assert reply.values[b"values"] == [pack_compact_peer(*v) for v in values]
+        assert (reply.values[b"peers"], reply.values[b"seeds"]) == (3, 1)
+
+    def test_other_messages_still_reach_bdecode(self, monkeypatch):
+        calls = []
+        generic = krpc.bdecode
+
+        def spy(raw):
+            calls.append(raw)
+            return generic(raw)
+
+        monkeypatch.setattr(krpc, "bdecode", spy)
+        node_id = b"\x01" * 20
+        messages = [
+            encode_error(b"t", ERROR_PROTOCOL, "bad token"),
+            encode_query(b"t", "ping", {b"id": node_id}),
+            encode_query(b"t", "find_node", {b"id": node_id, b"target": node_id}),
+            encode_response(
+                b"t", {b"id": node_id, b"nodes": b"", b"token": b"k", b"zz": 0}
+            ),
+        ]
+        for raw in messages:
+            decode_message(raw)
+        assert calls == messages

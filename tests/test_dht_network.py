@@ -15,9 +15,11 @@ from repro.dht import (
     KrpcResponse,
     decode_message,
     encode_query,
+    encode_response,
     node_id_to_bytes,
     xor_distance,
 )
+from repro.dht import krpc
 from repro.dht.network import BOOTSTRAP_COUNT, NUM_NODES
 from repro.dht.routing import K
 from repro.observability import MetricsRegistry
@@ -207,3 +209,58 @@ class TestIterativeLookup:
         assert snapshot["dht.lookup_queries"]["values"][""] == result.nodes_queried
         assert snapshot["dht.lookup_hops"]["values"][""]["count"] == 1
         assert snapshot["dht.lookup_hops"]["values"][""]["sum"] == result.hops
+
+
+class TestMalformedReplies:
+    """A reply that does not decode counts as an unanswered query."""
+
+    def _lookup(self, bootstrap_reply):
+        """Lookup with the first bootstrap node's replies replaced by
+        ``bootstrap_reply(query, real_reply)``."""
+        network = build_network()
+        for i in range(5):
+            network.announce_session(
+                INFOHASH, ip=1000 + i, port=6881, start=0.0, end=500.0
+            )
+        target_ip = network.bootstrap_ips()[0]
+        send = network.send
+
+        def patched(dest_ip, raw, sender_ip, sender_port, now):
+            if dest_ip != target_ip:
+                return send(dest_ip, raw, sender_ip, sender_port, now)
+            return bootstrap_reply(raw, network.node_at(dest_ip))
+
+        network.send = patched
+        crawler = DhtCrawler(network, random.Random(21), metrics=MetricsRegistry())
+        return crawler.lookup(INFOHASH, now=50.0)
+
+    @staticmethod
+    def _ragged_values(raw, node):
+        """The node's real reply, with a 7-byte entry after its values."""
+        reply = decode_message(node.handle_query(raw, CRAWLER_DHT_IP, 6881, 50.0))
+        values = dict(reply.values)
+        assert values[b"nodes"]
+        values[b"values"] = list(values.get(b"values", [])) + [b"\x00" * 7]
+        return encode_response(reply.tid, values)
+
+    def test_undecodable_replies_count_as_unanswered(self):
+        unroutable = self._lookup(lambda raw, node: None)
+        assert unroutable.found_peers
+        assert self._lookup(lambda raw, node: b"not bencode") == unroutable
+        assert self._lookup(self._ragged_values) == unroutable
+
+    def test_get_peers_round_trips_skip_the_generic_codec(self, monkeypatch):
+        """Every query and reply of a lookup takes the fixed-shape path."""
+
+        def fail(*args):
+            raise AssertionError("generic codec reached")
+
+        monkeypatch.setattr(krpc, "bencode", fail)
+        monkeypatch.setattr(krpc, "bdecode", fail)
+        network = build_network()
+        network.announce_session(INFOHASH, ip=5, port=1, start=0.0, end=99.0)
+        result = DhtCrawler(
+            network, random.Random(21), metrics=MetricsRegistry()
+        ).lookup(INFOHASH, now=10.0)
+        assert result.peer_ips == [5]
+        assert result.nodes_queried > BOOTSTRAP_COUNT
