@@ -386,6 +386,16 @@ def _variants(draw):
     return data
 
 
+# Canonical messages that the cases below mutate in one place each.
+_QUERY = encode_query(
+    b"aa", "get_peers", {b"id": b"\x01" * 20, b"info_hash": b"\x02" * 20}
+)
+_NODES_REPLY = encode_get_peers_response(b"aa", b"\x01" * 20, b"", b"k")
+_VALUES_REPLY = encode_get_peers_response(
+    b"aa", b"\x01" * 20, b"", b"k", [], peers=1, seeds=0
+)
+
+
 class TestGetPeersTemplates:
     @given(_any_tids, _ids, _ids)
     @settings(max_examples=150, deadline=None)
@@ -458,31 +468,25 @@ class TestGetPeersFastDecode:
         "raw",
         [
             # Tail byte changed, and the tail doubled.
-            b"d1:ad2:id20:" + b"\x01" * 20 + b"9:info_hash20:" + b"\x02" * 20
-            + b"e1:q9:get_peers1:t2:aa1:y1:xe",
-            b"d1:ad2:id20:" + b"\x01" * 20 + b"9:info_hash20:" + b"\x02" * 20
-            + b"e1:q9:get_peers1:t2:aa1:y1:qe1:y1:qe",
-            # The tid cut short of its declared length.
-            b"d1:rd2:id20:" + b"\x01" * 20 + b"5:nodes0:5:token1:ke1:t9:aa1:y1:re",
+            _QUERY[:-2] + b"xe",
+            _QUERY + b"1:y1:qe",
+            # The tid declared longer than the bytes that follow it.
+            _NODES_REPLY.replace(b"1:t2:aa", b"1:t9:aa"),
             # Leading zeros in a count and in a length: not canonical.
-            b"d1:rd2:id20:" + b"\x01" * 20 + b"5:nodes0:5:peersi01e5:seedsi0e"
-            b"5:token1:k6:valuesle1:t2:aa1:y1:re",
-            b"d1:rd2:id20:" + b"\x01" * 20 + b"5:nodes00:5:token1:ke1:t2:aa1:y1:re",
+            _VALUES_REPLY.replace(b"peersi1e", b"peersi01e"),
+            _NODES_REPLY.replace(b"5:nodes0:", b"5:nodes00:"),
             # Negative count: valid bencode, outside the fast shape.
-            b"d1:rd2:id20:" + b"\x01" * 20 + b"5:nodes0:5:peersi-1e5:seedsi0e"
-            b"5:token1:k6:valuesle1:t2:aa1:y1:re",
+            _VALUES_REPLY.replace(b"peersi1e", b"peersi-1e"),
             # A 7-byte values entry, and scrape counts without values.
-            b"d1:rd2:id20:" + b"\x01" * 20 + b"5:nodes0:5:peersi1e5:seedsi0e"
-            b"5:token1:k6:valuesl7:abcdefgee1:t2:aa1:y1:re",
-            b"d1:rd2:id20:" + b"\x01" * 20 + b"5:nodes0:5:peersi1e5:seedsi0e"
-            b"5:token1:ke1:t2:aa1:y1:re",
-            # A 19-byte id and an extra key in the reply.
-            b"d1:rd2:id19:" + b"\x01" * 19 + b"5:nodes0:5:token1:ke1:t2:aa1:y1:re",
-            b"d1:rd2:id20:" + b"\x01" * 20 + b"5:nodes0:5:token1:k5:zzzzzi0ee"
-            b"1:t2:aa1:y1:re",
+            _VALUES_REPLY.replace(b"valuesle", b"valuesl7:abcdefge"),
+            _VALUES_REPLY.replace(b"6:valuesle", b""),
+            # A 19-byte id, and an extra key in the reply.
+            _NODES_REPLY.replace(b"2:id20:" + b"\x01" * 20, b"2:id19:" + b"\x01" * 19),
+            _NODES_REPLY.replace(b"5:token1:k", b"5:token1:k5:zzzzzi0e"),
         ],
     )
     def test_non_canonical_shapes_take_generic_path(self, raw):
+        assert raw not in (_QUERY, _NODES_REPLY, _VALUES_REPLY)
         assert krpc._decode_get_peers(raw) is None
         assert _outcome(raw) == _generic_outcome(raw)
 
