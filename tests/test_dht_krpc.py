@@ -484,6 +484,11 @@ class TestGetPeersFastDecode:
             _NODES_REPLY.replace(b"2:id20:" + b"\x01" * 20, b"2:id19:" + b"\x01" * 19),
             _NODES_REPLY.replace(b"5:token1:k", b"5:token1:k5:zzzzzi0e"),
         ],
+        ids=[
+            "tail-changed", "tail-doubled", "tid-short", "count-leading-zero",
+            "length-leading-zero", "negative-count", "ragged-value",
+            "counts-without-values", "short-id", "extra-key",
+        ],
     )
     def test_non_canonical_shapes_take_generic_path(self, raw):
         assert raw not in (_QUERY, _NODES_REPLY, _VALUES_REPLY)
