@@ -168,8 +168,8 @@ class DhtNode:
             return encode_error(message.tid, ERROR_PROTOCOL, str(exc))
 
     # -- individual methods --------------------------------------------
-    # Payloads are keyed by bytes in sorted order (id, nodes, peers, seeds,
-    # token, values), the canonical shape bencode encodes without sorting.
+    # Payloads are keyed by bytes in sorted order, the canonical shape
+    # bencode encodes without sorting; get_peers replies use krpc's templates.
     def _handle_ping(
         self, query: KrpcQuery, sender_ip: int, sender_port: int, now: float
     ) -> bytes:

@@ -453,17 +453,6 @@ class TestGetPeersFastDecode:
     def test_fast_decode_agrees_with_generic(self, raw):
         assert _outcome(raw) == _generic_outcome(raw)
 
-    @given(_get_peers_messages())
-    @settings(max_examples=150, deadline=None)
-    def test_round_trip_values(self, raw):
-        message = decode_message(raw)
-        assert message == krpc._decode_message_generic(raw)
-        assert bencode(
-            {b"a": message.args, b"q": b"get_peers", b"t": message.tid, b"y": b"q"}
-            if isinstance(message, KrpcQuery)
-            else {b"r": message.values, b"t": message.tid, b"y": b"r"}
-        ) == raw
-
     @pytest.mark.parametrize(
         "raw",
         [
