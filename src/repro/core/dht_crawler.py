@@ -50,13 +50,6 @@ ALPHA = 3
 PER_HOP_RTT_MINUTES = 0.02
 
 
-# A decoded get_peers reply: responder id (None when it sent no 20-byte
-# id), compact nodes, values as (ip, port), seeds, leechers.
-_Reply = Tuple[
-    Optional[int], List[Tuple[bytes, int, int]], List[Tuple[int, int]], int, int
-]
-
-
 @dataclass(frozen=True)
 class DhtLookupResult:
     """One iterative ``get_peers`` lookup, shaped like a tracker response."""
@@ -224,13 +217,29 @@ class DhtCrawler:
         )
         if raw is None:
             return None
-        reply = _read_reply(raw)
-        if reply is None:
+        # Decode the whole reply before touching any candidate: one that
+        # fails anywhere, down to a ragged compact entry, is an unanswered
+        # query and contributes nothing.
+        try:
+            reply = decode_message(raw)
+            if not isinstance(reply, KrpcResponse):
+                return None
+            nodes_blob = reply.values.get(b"nodes")
+            nodes = (
+                unpack_compact_nodes(nodes_blob) if isinstance(nodes_blob, bytes) else []
+            )
+            got: List[Tuple[int, int]] = []
+            raw_values = reply.values.get(b"values")
+            if isinstance(raw_values, list):
+                for compact in raw_values:
+                    if isinstance(compact, bytes):
+                        got.extend(unpack_compact_peers(compact))
+        except KrpcError:
             return None
-        responder_id, nodes, got, seeds, leeches = reply
         candidate.responded = True
-        if responder_id is not None:
-            candidate.node_id = responder_id
+        responder_id = reply.values.get(b"id")
+        if isinstance(responder_id, bytes) and len(responder_id) == 20:
+            candidate.node_id = int.from_bytes(responder_id, "big")
         for node_id_bytes, ip, port in nodes:
             node_id = int.from_bytes(node_id_bytes, "big")
             existing = candidates.get(ip)
@@ -238,42 +247,10 @@ class DhtCrawler:
                 candidates[ip] = _Candidate(ip=ip, port=port, node_id=node_id)
             elif existing.node_id is None:
                 existing.node_id = node_id
-        return got, seeds, leeches
-
-
-def _read_reply(raw: bytes) -> Optional[_Reply]:
-    """Decode one ``get_peers`` reply whole.
-
-    None for an error reply or for bytes that do not decode -- down to one
-    ragged compact entry -- so the caller treats the query as unanswered
-    and merges nothing from it.
-    """
-    try:
-        reply = decode_message(raw)
-        if not isinstance(reply, KrpcResponse):
-            return None
-        values = reply.values
-        nodes_blob = values.get(b"nodes")
-        nodes = (
-            unpack_compact_nodes(nodes_blob) if isinstance(nodes_blob, bytes) else []
+        seeds = reply.values.get(b"seeds")
+        leeches = reply.values.get(b"peers")
+        return (
+            got,
+            seeds if isinstance(seeds, int) else 0,
+            leeches if isinstance(leeches, int) else 0,
         )
-        got: List[Tuple[int, int]] = []
-        raw_values = values.get(b"values")
-        if isinstance(raw_values, list):
-            for compact in raw_values:
-                if isinstance(compact, bytes):
-                    got.extend(unpack_compact_peers(compact))
-    except KrpcError:
-        return None
-    responder_id = values.get(b"id")
-    seeds = values.get(b"seeds")
-    leeches = values.get(b"peers")
-    return (
-        int.from_bytes(responder_id, "big")
-        if isinstance(responder_id, bytes) and len(responder_id) == 20
-        else None,
-        nodes,
-        got,
-        seeds if isinstance(seeds, int) else 0,
-        leeches if isinstance(leeches, int) else 0,
-    )
