@@ -11,11 +11,22 @@ Handshake layout (68 bytes):
 Bitfield message: 4-byte big-endian length prefix, 1-byte id (5), then
 ``ceil(num_pieces / 8)`` payload bytes, high bit of the first byte being
 piece 0.  Spare bits must be zero.
+
+Torrents hold up to tens of thousands of pieces, so the bitfield codec never
+visits one bit at a time in Python: encoding turns the whole vector into one
+ASCII ``0``/``1`` string and one ``int``, decoding looks each payload byte up
+in a 256-entry table of 8-piece tuples, and the spare bits are one mask of the
+last byte.  The bytes, tuples and errors are those of the plain per-bit
+codec, which ``tests/peerwire_reference.py`` keeps for the equivalence tests.
+
+Integer fields are unsigned 32-bit; a value outside ``[0, 2**32)`` raises
+:class:`PeerWireError` like every other bad argument.
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import chain, islice, product
 from typing import Tuple
 
 PROTOCOL_STRING = b"BitTorrent protocol"
@@ -31,6 +42,12 @@ BITFIELD_ID = 5
 REQUEST_ID = 6
 PIECE_ID = 7
 CANCEL_ID = 8
+
+_MAX_U32 = 2**32 - 1
+
+# Bit ``i`` of byte value ``b`` (high bit first) is ``_BYTE_BITS[b][i]``.
+_BYTE_BITS = tuple(product((False, True), repeat=8))
+_BITS_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class PeerWireError(ValueError):
@@ -69,12 +86,10 @@ def encode_bitfield(have: Tuple[bool, ...]) -> bytes:
     num_pieces = len(have)
     if num_pieces == 0:
         raise PeerWireError("bitfield of zero pieces")
-    payload = bytearray((num_pieces + 7) // 8)
-    for index, owned in enumerate(have):
-        if owned:
-            payload[index // 8] |= 0x80 >> (index % 8)
-    body = bytes([BITFIELD_ID]) + bytes(payload)
-    return struct.pack(">I", len(body)) + body
+    size = (num_pieces + 7) // 8
+    bits = bytes(map(bool, have)).translate(_BITS_TO_ASCII)
+    payload = int(bits.ljust(8 * size, b"0"), 2).to_bytes(size, "big")
+    return struct.pack(">IB", 1 + size, BITFIELD_ID) + payload
 
 
 def decode_bitfield(data: bytes, num_pieces: int) -> Tuple[bool, ...]:
@@ -94,15 +109,12 @@ def decode_bitfield(data: bytes, num_pieces: int) -> Tuple[bool, ...]:
         raise PeerWireError(
             f"bitfield payload {len(payload)} bytes, expected {expected}"
         )
-    have = []
-    for index in range(num_pieces):
-        have.append(bool(payload[index // 8] & (0x80 >> (index % 8))))
     # Spare bits beyond num_pieces must be zero (strictness catches
     # truncation / piece-count mismatches early).
-    for index in range(num_pieces, expected * 8):
-        if payload[index // 8] & (0x80 >> (index % 8)):
-            raise PeerWireError("spare bitfield bits set")
-    return tuple(have)
+    if payload[-1] & (0xFF >> (num_pieces - 8 * (expected - 1))):
+        raise PeerWireError("spare bitfield bits set")
+    bits = chain.from_iterable(map(_BYTE_BITS.__getitem__, payload))
+    return tuple(islice(bits, num_pieces))
 
 
 def bitfield_from_progress(progress: float, num_pieces: int) -> Tuple[bool, ...]:
@@ -118,11 +130,11 @@ def bitfield_from_progress(progress: float, num_pieces: int) -> Tuple[bool, ...]
     owned = int(progress * num_pieces)
     if progress >= 1.0:
         owned = num_pieces
-    return tuple(index < owned for index in range(num_pieces))
+    return (True,) * owned + (False,) * (num_pieces - owned)
 
 
 def count_pieces(have: Tuple[bool, ...]) -> int:
-    return sum(1 for owned in have if owned)
+    return sum(map(bool, have))
 
 
 def is_complete_bitfield(have: Tuple[bool, ...]) -> bool:
@@ -144,26 +156,32 @@ def encode_state(message_id: int) -> bytes:
     return struct.pack(">IB", 1, message_id)
 
 
+def _fits_u32(*values: int) -> bool:
+    return all(0 <= value <= _MAX_U32 for value in values)
+
+
 def encode_have(piece_index: int) -> bytes:
     if piece_index < 0:
         raise PeerWireError("piece index must be >= 0")
+    if piece_index > _MAX_U32:
+        raise PeerWireError("piece index must be < 2**32")
     return struct.pack(">IBI", 5, HAVE_ID, piece_index)
 
 
 def encode_request(piece_index: int, begin: int, length: int) -> bytes:
-    if piece_index < 0 or begin < 0 or length <= 0:
+    if length <= 0 or not _fits_u32(piece_index, begin, length):
         raise PeerWireError("invalid request parameters")
     return struct.pack(">IBIII", 13, REQUEST_ID, piece_index, begin, length)
 
 
 def encode_cancel(piece_index: int, begin: int, length: int) -> bytes:
-    if piece_index < 0 or begin < 0 or length <= 0:
+    if length <= 0 or not _fits_u32(piece_index, begin, length):
         raise PeerWireError("invalid cancel parameters")
     return struct.pack(">IBIII", 13, CANCEL_ID, piece_index, begin, length)
 
 
 def encode_piece(piece_index: int, begin: int, block: bytes) -> bytes:
-    if piece_index < 0 or begin < 0:
+    if not _fits_u32(piece_index, begin):
         raise PeerWireError("invalid piece parameters")
     body = struct.pack(">BII", PIECE_ID, piece_index, begin) + block
     return struct.pack(">I", len(body)) + body

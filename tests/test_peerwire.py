@@ -17,6 +17,12 @@ from repro.peerwire import (
     encode_handshake,
     is_complete_bitfield,
 )
+from repro.peerwire.messages import (
+    encode_cancel,
+    encode_have,
+    encode_piece,
+    encode_request,
+)
 from repro.swarm import PeerSession, Swarm
 
 IH = b"\x33" * 20
@@ -106,6 +112,32 @@ class TestBitfield:
             bitfield_from_progress(1.5, 10)
         with pytest.raises(PeerWireError):
             bitfield_from_progress(0.5, 0)
+
+
+class TestIntegerFieldRange:
+    """Integer fields are unsigned 32-bit: one past the top is a
+    ``PeerWireError``, not a ``struct.error`` from the packer."""
+
+    @pytest.mark.parametrize(
+        "encode, args, message",
+        [
+            (encode_have, (2**32,), "piece index"),
+            (encode_request, (0, 0, 2**32), "invalid request"),
+            (encode_cancel, (2**32, 0, 1), "invalid cancel"),
+            (encode_piece, (0, 2**32, b"x"), "invalid piece"),
+        ],
+        ids=["have", "request", "cancel", "piece"],
+    )
+    def test_one_past_u32_raises_peer_wire_error(self, encode, args, message):
+        with pytest.raises(PeerWireError, match=message):
+            encode(*args)
+
+    def test_top_of_u32_still_encodes(self):
+        top = 2**32 - 1
+        assert encode_have(top)[-4:] == b"\xff" * 4
+        assert encode_request(top, top, top)[-12:] == b"\xff" * 12
+        assert encode_cancel(top, top, top)[-12:] == b"\xff" * 12
+        assert encode_piece(top, top, b"x")[-9:] == b"\xff" * 8 + b"x"
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=200))
