@@ -21,9 +21,14 @@ content" (Section 5), so multi-file torrents here can carry such a file.
 from __future__ import annotations
 
 import hashlib
+import multiprocessing
+import multiprocessing.connection
+import os
+import signal
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Union
 
 from repro.bencode import BencodeError, bdecode, bencode
 
@@ -90,6 +95,124 @@ def piece_payload(name: str, index: int) -> bytes:
 # of hashes).
 _PIECES_CACHE_SIZE = 512
 
+# Split a torrent's pieces between this process and the helper only when
+# each half's hashing dwarfs the pipe round trip.  On an idle 2-vCPU VM
+# (Python 3.11.7), a one-piece request and its 20-byte reply took ~18 us
+# and one piece ~1.9 us, so at 512 pieces each half hashes for ~0.5 ms,
+# about 27 round trips.  The median torrent of a `tiny` world holds ~1,700.
+_SPLIT_MIN_PIECES = 512
+
+_PIPE_ERRORS = (EOFError, ConnectionResetError, BrokenPipeError)
+
+
+def _hash_pieces(name: str, start: int, stop: int) -> bytes:
+    """SHA-1 over the canonical stand-in payload of pieces ``[start, stop)``.
+
+    Instead of calling :func:`piece_payload` per piece -- which re-hashes
+    the name every time -- this hashes the shared ``sha256(name + b"\x00")``
+    prefix once and extends a ``.copy()`` of it with each index.  UTF-8
+    concatenates codepoint-wise, so the seeds (and therefore the piece
+    hashes and every infohash) are bit-identical to the per-piece
+    formulation; a regression test holds the equivalence against the
+    original implementation.  ``PIECE_PAYLOAD_BYTES`` is a whole number of
+    SHA-256 digests, so each payload is its seed repeated, never truncated.
+    """
+    prefix = hashlib.sha256(name.encode("utf-8") + b"\x00")
+    repeats = PIECE_PAYLOAD_BYTES // prefix.digest_size
+    sha1 = hashlib.sha1
+    copy = prefix.copy
+    digests = []
+    append = digests.append
+    for index in range(start, stop):
+        h = copy()
+        h.update(b"%d" % index)
+        append(sha1(h.digest() * repeats).digest())
+    return b"".join(digests)
+
+
+class _Helper(NamedTuple):
+    """The helper process and this process's end of the pipe to it."""
+
+    process: multiprocessing.process.BaseProcess
+    conn: multiprocessing.connection.Connection
+
+
+# The one helper of this process: None until the first large torrent,
+# False once this process may not (or can no longer) use one.
+_helper: Union[_Helper, bool, None] = None
+_helper_lock = threading.Lock()
+
+
+def _serve(conn: multiprocessing.connection.Connection) -> None:
+    """The helper's loop: hash each requested range until the pipe closes."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            name, start, stop = conn.recv()
+            conn.send_bytes(_hash_pieces(name, start, stop))
+        except _PIPE_ERRORS:
+            return
+
+
+def _may_start_helper() -> bool:
+    """Only a top-level process with a CPU to spare starts a helper.
+
+    Sweep pool workers already keep every CPU busy.
+    """
+    if multiprocessing.parent_process() is not None:
+        return False
+    try:
+        if len(os.sched_getaffinity(0)) < 2:
+            return False
+    except AttributeError:  # no affinity API on this platform
+        return False
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+def _start_helper() -> Union[_Helper, bool]:
+    global _helper
+    context = multiprocessing.get_context("fork")
+    conn, child_conn = context.Pipe()
+    # Published before the fork, so that the at-fork hook closes this end in
+    # the helper too.  This process is then its only holder, and its death,
+    # even by SIGKILL, leaves the helper at EOF.
+    _helper = _Helper(context.Process(target=_serve, args=(child_conn,),
+                                      daemon=True, name="repro-piece-hasher"),
+                      conn)
+    try:
+        _helper.process.start()
+    except OSError:
+        conn.close()
+        _helper = False
+    finally:
+        child_conn.close()
+    return _helper
+
+
+def _stop_helper() -> None:
+    """Close the pipe, reap the helper and never start another."""
+    global _helper
+    helper, _helper = _helper, False
+    if helper:
+        helper.conn.close()
+        helper.process.join(timeout=1.0)
+
+
+def _forget_helper_after_fork() -> None:
+    """In a forked child, close and forget the parent's end of the pipe.
+
+    The child is not the helper's parent: it must not use the pipe, and at
+    exit it must not terminate the helper as one of its own daemon children.
+    """
+    global _helper
+    helper, _helper = _helper, None
+    if helper:
+        helper.conn.close()
+        multiprocessing.process._children.discard(helper.process)
+
+
+os.register_at_fork(after_in_child=_forget_helper_after_fork)
+
 
 @lru_cache(maxsize=_PIECES_CACHE_SIZE)
 def _derive_pieces(name: str, total_length: int, piece_length: int) -> bytes:
@@ -101,35 +224,40 @@ def _derive_pieces(name: str, total_length: int, piece_length: int) -> bytes:
     metainfo, exactly as BitTorrent clients detect fake/corrupt content.
 
     This is the single hottest loop of world generation (millions of pieces
-    per campaign), so instead of calling :func:`piece_payload` per piece --
-    which re-hashes the name every time -- it hashes the shared
-    ``sha256(name + b"\\x00")`` prefix once and extends a ``.copy()`` of it
-    with each index.  UTF-8 concatenates codepoint-wise, so the resulting
-    seeds (and therefore the piece hashes and every infohash) are
-    bit-identical to the per-piece formulation; a regression test holds the
-    equivalence against the original implementation.
+    per campaign).  A torrent of at least ``_SPLIT_MIN_PIECES`` pieces is
+    hashed on two CPUs: the helper process hashes the upper half of the
+    range while this process hashes the lower half, both with
+    :func:`_hash_pieces`, so the bytes are those of the serial call.
     """
+    global _helper
     num_pieces = max(1, -(-total_length // piece_length))
-    prefix = hashlib.sha256(name.encode("utf-8") + b"\x00")
-    seed_size = prefix.digest_size
-    repeats = -(-PIECE_PAYLOAD_BYTES // seed_size)
-    exact = seed_size * repeats == PIECE_PAYLOAD_BYTES
-    sha1 = hashlib.sha1
-    copy = prefix.copy
-    digests = []
-    append = digests.append
-    if exact:
-        for index in range(num_pieces):
-            h = copy()
-            h.update(b"%d" % index)
-            append(sha1(h.digest() * repeats).digest())
-    else:
-        for index in range(num_pieces):
-            h = copy()
-            h.update(b"%d" % index)
-            payload = (h.digest() * repeats)[:PIECE_PAYLOAD_BYTES]
-            append(sha1(payload).digest())
-    return b"".join(digests)
+    if num_pieces < _SPLIT_MIN_PIECES or not _helper_lock.acquire(blocking=False):
+        return _hash_pieces(name, 0, num_pieces)
+    try:
+        if _helper is None:
+            _helper = _start_helper() if _may_start_helper() else False
+        if not _helper:
+            return _hash_pieces(name, 0, num_pieces)
+        conn = _helper.conn
+        half = num_pieces // 2
+        try:
+            conn.send((name, half, num_pieces))
+        except _PIPE_ERRORS:
+            _stop_helper()
+            return _hash_pieces(name, 0, num_pieces)
+        try:
+            lower = _hash_pieces(name, 0, half)
+            upper = conn.recv_bytes()
+        except _PIPE_ERRORS:
+            _stop_helper()
+            upper = _hash_pieces(name, half, num_pieces)
+        except BaseException:
+            # An interrupted call would leave its reply for the next one.
+            _stop_helper()
+            raise
+        return lower + upper
+    finally:
+        _helper_lock.release()
 
 
 def build_torrent(

@@ -173,7 +173,7 @@ class TestPieceDerivation:
             ("My.Release.2010", 256 * 1024 * 10, 256 * 1024),
             ("My.Release.2010", 256 * 1024 * 10 + 1, 256 * 1024),
             ("exact.one.piece", 4096, 4096),
-            ("tiny.piece.len", 10_000, 7),  # payload not a seed multiple
+            ("tiny.piece.len", 10_000, 7),  # 1,429 pieces: enough to split
             ("café über 中文", 1_000_000, 16_384),
             ("name with spaces\x00and.nul", 123_456, 32_768),
         ],
