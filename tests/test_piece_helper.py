@@ -45,11 +45,11 @@ def reference_pieces(name, num_pieces):
     return b"".join(digests)
 
 
-def run_script(body, **kwargs):
+def run_script(body):
     """Start ``body`` in a fresh interpreter that imports this checkout."""
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.Popen([sys.executable, "-c", textwrap.dedent(body)],
-                            env=env, stdout=subprocess.PIPE, text=True, **kwargs)
+                            env=env, stdout=subprocess.PIPE, text=True)
 
 
 def alive(pid):
