@@ -134,8 +134,8 @@ def test_bench_announce_codec_roundtrip(benchmark):
     assert len(response.peers) == 200
 
 
-def test_bench_bdecode_bytearray_zero_copy(benchmark):
-    """Decode a large response from a bytearray (the zero-copy input path)."""
+def test_bench_bdecode_large_response(benchmark):
+    """Decode a large (16 KiB peers) response handed over as a bytearray."""
     wire = bytearray(
         bencode({b"interval": 900, b"peers": bytes(range(256)) * 64})
     )

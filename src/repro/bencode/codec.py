@@ -18,31 +18,24 @@ round-tripping.
 convenience; decoding always returns ``bytes`` keys/values, as real
 BitTorrent implementations do.
 
-Metainfo, KRPC messages other than canonical ``get_peers`` and every
-non-canonical tracker response go through this codec (canonical announce
-responses and ``get_peers`` messages take fixed-shape paths in
-:mod:`repro.tracker.protocol` and :mod:`repro.dht.krpc`), so the
-implementation is tuned:
-
-- :func:`bdecode` is non-recursive (an explicit container stack), compares
-  single bytes as integers instead of allocating 1-byte slices, and accepts
-  ``bytes``/``bytearray``/``memoryview`` without copying the input buffer;
-- :func:`bencode` takes a fast path through dictionaries whose keys are
-  already sorted ``bytes`` (the shape every canonical producer in this
-  codebase emits), skipping the str-key normalisation dict entirely; in
-  that path and in lists, ``bytes`` and exact-``int`` items are emitted
-  inline instead of through a recursive call.
-
-``tests/bencode_reference.py`` retains the original recursive codec, and
-property tests assert the two agree on every value and on every malformed
-input class.
+Both directions are plain recursive descent.  The hot messages never reach
+this codec: canonical announce responses and ``get_peers`` messages take
+fixed-shape templates in :mod:`repro.tracker.protocol` and
+:mod:`repro.dht.krpc`, so what remains here is metainfo and the rarer
+tracker and KRPC messages.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, List, Tuple, Union
 
 Encodable = Union[int, bytes, str, list, tuple, dict]
+
+# Deepest list/dict nesting bdecode accepts (libtorrent's default limit).
+# Outside input can nest without bound; past this depth it raises
+# BencodeError instead of RecursionError.  No message in this codebase
+# nests deeper than 5 levels (a multi-file metainfo's `path` list).
+MAX_DEPTH = 100
 
 
 class BencodeError(ValueError):
@@ -61,263 +54,139 @@ def _encode(value: Encodable, out: List[bytes]) -> None:
         # bool is an int subclass; accepting it would silently encode flags
         # as 0/1 and round-trip to a different type.  Reject instead.
         raise BencodeError("cannot bencode bool; use an int explicitly")
+    if isinstance(value, str):
+        value = value.encode("utf-8")
     if isinstance(value, int):
         out.append(b"i%de" % value)
     elif isinstance(value, bytes):
         out.append(b"%d:" % len(value))
         out.append(value)
-    elif isinstance(value, str):
-        encoded = value.encode("utf-8")
-        out.append(b"%d:" % len(encoded))
-        out.append(encoded)
     elif isinstance(value, (list, tuple)):
         out.append(b"l")
         for item in value:
-            # Scalars inline (bool's class is not int, so it still raises).
-            cls = item.__class__
-            if cls is bytes:
-                out.append(b"%d:" % len(item))
-                out.append(item)
-            elif cls is int:
-                out.append(b"i%de" % item)
-            else:
-                _encode(item, out)
+            _encode(item, out)
         out.append(b"e")
     elif isinstance(value, dict):
-        # Fast path: keys already canonical (plain bytes, strictly
-        # ascending).  Insertion order then IS encoding order, so no
-        # normalisation dict and no sort are needed.
-        previous = None
-        for key in value:
-            if key.__class__ is not bytes or (
-                previous is not None and key <= previous
-            ):
-                _encode_dict_slow(value, out)
-                return
-            previous = key
         out.append(b"d")
+        normalised: Dict[bytes, Any] = {}
         for key, item in value.items():
-            out.append(b"%d:" % len(key))
-            out.append(key)
-            cls = item.__class__
-            if cls is bytes:
-                out.append(b"%d:" % len(item))
-                out.append(item)
-            elif cls is int:
-                out.append(b"i%de" % item)
-            else:
-                _encode(item, out)
+            if isinstance(key, str):
+                key = key.encode("utf-8")
+            if not isinstance(key, bytes):
+                raise BencodeError(
+                    f"dictionary keys must be bytes or str, got {type(key).__name__}"
+                )
+            if key in normalised:
+                raise BencodeError(f"duplicate dictionary key {key!r}")
+            normalised[key] = item
+        for key in sorted(normalised):
+            _encode(key, out)
+            _encode(normalised[key], out)
         out.append(b"e")
     else:
         raise BencodeError(f"cannot bencode {type(value).__name__}")
 
 
-def _encode_dict_slow(value: dict, out: List[bytes]) -> None:
-    """Dict encoding with str-key normalisation and explicit sorting."""
-    out.append(b"d")
-    normalised: Dict[bytes, Any] = {}
-    for key, item in value.items():
-        if isinstance(key, str):
-            key = key.encode("utf-8")
-        if not isinstance(key, bytes):
-            raise BencodeError(
-                f"dictionary keys must be bytes or str, got {type(key).__name__}"
-            )
-        if key in normalised:
-            raise BencodeError(f"duplicate dictionary key {key!r}")
-        normalised[key] = item
-    for key in sorted(normalised):
-        _encode(key, out)
-        _encode(normalised[key], out)
-    out.append(b"e")
-
-
-# Byte codes the decoder dispatches on.
-_I, _L, _D, _E, _COLON, _MINUS = 0x69, 0x6C, 0x64, 0x65, 0x3A, 0x2D
-# Sentinel marking a dict frame that is waiting for its next key.
-_NO_KEY = object()
-
-
-def bdecode(data: Union[bytes, bytearray, memoryview]) -> Any:
-    """Parse bencode bytes; raises :class:`BencodeError` on any malformation.
-
-    ``bytearray`` and ``memoryview`` inputs are consumed through a zero-copy
-    view -- the input buffer is never duplicated, only the decoded byte
-    strings themselves are materialised.
-    """
-    if isinstance(data, bytes):
-        buf: Any = data
-    elif isinstance(data, (bytearray, memoryview)):
-        try:
-            buf = memoryview(data).cast("B")
-        except TypeError as exc:
-            raise BencodeError(f"bdecode needs a contiguous buffer: {exc}") from exc
-    else:
+def bdecode(data: Union[bytes, bytearray]) -> Any:
+    """Parse bencode bytes; raises :class:`BencodeError` on any malformation."""
+    if not isinstance(data, (bytes, bytearray)):
         raise BencodeError(f"bdecode expects bytes, got {type(data).__name__}")
-    if not len(buf):
+    data = bytes(data)
+    if not data:
         raise BencodeError("empty input")
-    value, index = _parse(buf)
-    if index != len(buf):
+    value, index = _decode(data, 0, 0)
+    if index != len(data):
         raise BencodeError(f"trailing data at offset {index}")
     return value
 
 
-def _parse(data: Any) -> Any:
-    """One non-recursive parse of the value starting at offset 0.
-
-    Containers live on an explicit stack; ``frames`` carries, per container,
-    ``None`` for lists and ``[pending_key, previous_key]`` for dicts.  Every
-    completed value (scalar or closed container) is attached to the top of
-    the stack, or returned when the stack is empty.
-    """
-    n = len(data)
-    i = 0
-    stack: List[Any] = []
-    frames: List[Any] = []
-    while True:
-        if i >= n:
-            if not stack:
-                raise BencodeError("truncated input")
-            frame = frames[-1]
-            if frame is None:
-                raise BencodeError("unterminated list")
-            if frame[0] is not _NO_KEY:
-                # A key was read but its value is missing -- the reference
-                # decoder hits end-of-input while parsing the value.
-                raise BencodeError("truncated input")
-            raise BencodeError("unterminated dictionary")
-        c = data[i]
-        if 0x30 <= c <= 0x39:  # digit: byte string
-            length = c - 0x30
-            j = i + 1
-            while j < n:
-                c2 = data[j]
-                if c2 == _COLON:
-                    break
-                if 0x30 <= c2 <= 0x39:
-                    length = length * 10 + (c2 - 0x30)
-                    j += 1
-                else:
-                    raise BencodeError(
-                        f"malformed string length {_scan_length_bytes(data, i)!r}"
-                    )
-            else:
-                raise BencodeError("unterminated string length")
-            if c == 0x30 and j > i + 1:
-                raise BencodeError("leading zeros in string length")
-            start = j + 1
-            end = start + length
-            if end > n:
-                raise BencodeError("truncated string")
-            value = data[start:end]
-            if value.__class__ is not bytes:
-                value = bytes(value)
-            i = end
-        elif c == _I:
-            j = i + 1
-            negative = j < n and data[j] == _MINUS
-            if negative:
-                j += 1
-            magnitude = 0
-            digits = 0
-            first_digit = -1
-            while j < n:
-                c2 = data[j]
-                if 0x30 <= c2 <= 0x39:
-                    if digits == 0:
-                        first_digit = c2
-                    magnitude = magnitude * 10 + (c2 - 0x30)
-                    digits += 1
-                    j += 1
-                else:
-                    break
-            if j >= n or data[j] != _E:
-                raise _int_error(data, i)
-            if digits == 0:
-                raise BencodeError("empty integer")
-            if first_digit == 0x30:
-                if negative and digits == 1:
-                    raise BencodeError("negative zero is not canonical")
-                if digits > 1:
-                    body = bytes(data[i + 1 : j])
-                    raise BencodeError(f"leading zeros in integer {body!r}")
-            value = -magnitude if negative else magnitude
-            i = j + 1
-        elif c == _L:
-            stack.append([])
-            frames.append(None)
-            i += 1
-            continue
-        elif c == _D:
-            stack.append({})
-            frames.append([_NO_KEY, None])
-            i += 1
-            continue
-        elif c == _E:
-            if stack:
-                frame = frames[-1]
-                if frame is not None and frame[0] is not _NO_KEY:
-                    # Dict closed between a key and its value; the reference
-                    # decoder trips over the 'e' while expecting a value.
-                    raise BencodeError(f"unexpected byte b'e' at offset {i}")
-                value = stack.pop()
-                frames.pop()
-                i += 1
-            else:
-                raise BencodeError(f"unexpected byte b'e' at offset {i}")
-        else:
-            raise BencodeError(
-                f"unexpected byte {bytes(data[i : i + 1])!r} at offset {i}"
-            )
-
-        # Attach the completed value to the enclosing container (or finish).
-        if not stack:
-            return value, i
-        frame = frames[-1]
-        if frame is None:
-            stack[-1].append(value)
-        elif frame[0] is _NO_KEY:
-            if value.__class__ is not bytes:
-                raise BencodeError("dictionary key must be a byte string")
-            previous = frame[1]
-            if previous is not None and value <= previous:
-                raise BencodeError(
-                    f"dictionary keys not strictly sorted: "
-                    f"{previous!r} then {value!r}"
-                )
-            frame[0] = value
-            frame[1] = value
-        else:
-            stack[-1][frame[0]] = value
-            frame[0] = _NO_KEY
+def _decode(data: bytes, index: int, depth: int) -> Tuple[Any, int]:
+    """Decode the value at ``index`` inside ``depth`` open containers."""
+    if index >= len(data):
+        raise BencodeError("truncated input")
+    lead = data[index : index + 1]
+    if lead == b"i":
+        return _decode_int(data, index)
+    if lead in (b"l", b"d"):
+        if depth == MAX_DEPTH:
+            raise BencodeError(f"nesting deeper than {MAX_DEPTH} levels")
+        if lead == b"l":
+            return _decode_list(data, index, depth + 1)
+        return _decode_dict(data, index, depth + 1)
+    if lead.isdigit():
+        return _decode_bytes(data, index)
+    raise BencodeError(f"unexpected byte {lead!r} at offset {index}")
 
 
-def _scan_length_bytes(data: Any, start: int) -> bytes:
-    """The byte run an invalid string-length diagnostic should quote.
-
-    Mirrors the reference decoder, which slices everything up to the next
-    colon (or reports the string as unterminated when there is none).
-    """
-    n = len(data)
-    j = start
-    while j < n and data[j] != _COLON:
-        j += 1
-    if j >= n:
-        raise BencodeError("unterminated string length")
-    return bytes(data[start:j])
-
-
-def _int_error(data: Any, start: int) -> BencodeError:
-    """Diagnose a malformed ``i...e`` run exactly like the reference decoder."""
-    n = len(data)
-    end = start
-    while end < n and data[end] != _E:
-        end += 1
-    if end >= n:
-        return BencodeError("unterminated integer")
-    body = bytes(data[start + 1 : end])
+def _decode_int(data: bytes, index: int) -> Tuple[int, int]:
+    end = data.find(b"e", index)
+    if end == -1:
+        raise BencodeError("unterminated integer")
+    body = data[index + 1 : end]
     if not body or body == b"-":
-        return BencodeError("empty integer")
+        raise BencodeError("empty integer")
     if body == b"-0":
-        return BencodeError("negative zero is not canonical")
-    return BencodeError(f"malformed integer {body!r}")
+        raise BencodeError("negative zero is not canonical")
+    digits = body[1:] if body[:1] == b"-" else body
+    if not digits.isdigit():
+        raise BencodeError(f"malformed integer {body!r}")
+    if len(digits) > 1 and digits[:1] == b"0":
+        raise BencodeError(f"leading zeros in integer {body!r}")
+    try:
+        return int(body), end + 1
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise BencodeError(f"integer of {len(digits)} digits is too long") from None
+
+
+def _decode_bytes(data: bytes, index: int) -> Tuple[bytes, int]:
+    colon = data.find(b":", index)
+    if colon == -1:
+        raise BencodeError("unterminated string length")
+    length_bytes = data[index:colon]
+    if not length_bytes.isdigit():
+        raise BencodeError(f"malformed string length {length_bytes!r}")
+    if len(length_bytes) > 1 and length_bytes[:1] == b"0":
+        raise BencodeError("leading zeros in string length")
+    # A length with more digits than the input's own length cannot fit, and
+    # int() refuses digit runs past sys.get_int_max_str_digits().
+    if len(length_bytes) > len(str(len(data))):
+        raise BencodeError("truncated string")
+    length = int(length_bytes)
+    start = colon + 1
+    end = start + length
+    if end > len(data):
+        raise BencodeError("truncated string")
+    return data[start:end], end
+
+
+def _decode_list(data: bytes, index: int, depth: int) -> Tuple[list, int]:
+    items: List[Any] = []
+    index += 1
+    while True:
+        if index >= len(data):
+            raise BencodeError("unterminated list")
+        if data[index : index + 1] == b"e":
+            return items, index + 1
+        item, index = _decode(data, index, depth)
+        items.append(item)
+
+
+def _decode_dict(data: bytes, index: int, depth: int) -> Tuple[Dict[bytes, Any], int]:
+    result: Dict[bytes, Any] = {}
+    previous_key = None
+    index += 1
+    while True:
+        if index >= len(data):
+            raise BencodeError("unterminated dictionary")
+        if data[index : index + 1] == b"e":
+            return result, index + 1
+        key, index = _decode(data, index, depth)
+        if not isinstance(key, bytes):
+            raise BencodeError("dictionary key must be a byte string")
+        if previous_key is not None and key <= previous_key:
+            raise BencodeError(
+                f"dictionary keys not strictly sorted: {previous_key!r} then {key!r}"
+            )
+        previous_key = key
+        value, index = _decode(data, index, depth)
+        result[key] = value

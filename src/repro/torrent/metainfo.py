@@ -304,6 +304,15 @@ def build_torrent(
     return bencode(meta)
 
 
+def _text(value: object, field_name: str) -> str:
+    """A metainfo byte-string field as text; MetainfoError if not bytes."""
+    if not isinstance(value, bytes):
+        raise MetainfoError(
+            f"{field_name} must be a byte string, not {type(value).__name__}"
+        )
+    return value.decode("utf-8", errors="replace")
+
+
 def parse_torrent(data: bytes) -> TorrentMeta:
     """Parse .torrent bytes into a :class:`TorrentMeta`.
 
@@ -328,7 +337,7 @@ def parse_torrent(data: bytes) -> TorrentMeta:
         if key not in info:
             raise MetainfoError(f"info dict missing {key.decode()!r}")
 
-    name = info[b"name"].decode("utf-8", errors="replace")
+    name = _text(info[b"name"], "'name'")
     piece_length = info[b"piece length"]
     pieces = info[b"pieces"]
     if not isinstance(piece_length, int) or piece_length <= 0:
@@ -351,7 +360,7 @@ def parse_torrent(data: bytes) -> TorrentMeta:
                 raise MetainfoError(f"invalid file length {length!r}")
             if not isinstance(path, list) or not path:
                 raise MetainfoError("file path must be a non-empty list")
-            joined = "/".join(p.decode("utf-8", errors="replace") for p in path)
+            joined = "/".join(_text(p, "file path item") for p in path)
             files.append(TorrentFile(path=joined, length=length))
             total += length
         total_length = total
@@ -368,7 +377,7 @@ def parse_torrent(data: bytes) -> TorrentMeta:
         comment = decoded[b"comment"].decode("utf-8", errors="replace")
 
     return TorrentMeta(
-        announce=decoded[b"announce"].decode("utf-8", errors="replace"),
+        announce=_text(decoded[b"announce"], "'announce'"),
         name=name,
         piece_length=piece_length,
         num_pieces=len(pieces) // 20,

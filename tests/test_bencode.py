@@ -1,7 +1,7 @@
 """Unit tests for the bencode codec."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bencode import BencodeError, bdecode, bencode
@@ -60,6 +60,22 @@ class TestEncode:
     def test_non_string_dict_key_rejected(self):
         with pytest.raises(BencodeError, match="keys"):
             bencode({1: 2})
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [True],
+            [b"a", 1, False],
+            {b"a": True},
+            {b"a": 1, b"b": b"x", b"c": False},
+            [[b"a", True]],
+            {b"a": [1, True]},
+            {b"a": {b"b": False}},
+        ],
+    )
+    def test_nested_bool_rejected(self, value):
+        with pytest.raises(BencodeError, match="bool"):
+            bencode(value)
 
 
 class TestDecode:
@@ -144,6 +160,117 @@ class TestDecode:
 
     def test_bytearray_accepted(self):
         assert bdecode(bytearray(b"i5e")) == 5
+
+    def test_integer_past_int_conversion_limit_rejected(self):
+        # int() refuses digit runs this long; the codec must not leak its
+        # ValueError.
+        with pytest.raises(BencodeError, match="5000 digits"):
+            bdecode(b"i" + b"1" * 5000 + b"e")
+
+    def test_string_length_past_int_conversion_limit_rejected(self):
+        with pytest.raises(BencodeError, match="truncated string"):
+            bdecode(b"1" * 5000 + b":x")
+
+
+# Every malformed-input class with the exact message the codec raises; the
+# metainfo and tracker layers quote these messages in their own errors.
+MALFORMED_CORPUS = [
+    (b"", "empty input"),
+    (b"i12", "unterminated integer"),
+    (b"ie", "empty integer"),
+    (b"i-e", "empty integer"),
+    (b"i-0e", "negative zero is not canonical"),
+    (b"i01e", "leading zeros in integer b'01'"),
+    (b"i007e", "leading zeros in integer b'007'"),
+    (b"iabce", "malformed integer b'abc'"),
+    (b"i1x2e", "malformed integer b'1x2'"),
+    (b"1:", "truncated string"),
+    (b"12", "unterminated string length"),
+    (b"01:a", "leading zeros in string length"),
+    (b"9999:ab", "truncated string"),
+    (b"1a:x", "malformed string length b'1a'"),
+    (b":abc", "unexpected byte b':' at offset 0"),
+    (b"l", "unterminated list"),
+    (b"li1e", "unterminated list"),
+    (b"d", "unterminated dictionary"),
+    (b"d1:a", "truncated input"),
+    (b"d1:ae", "unexpected byte b'e' at offset 4"),
+    (b"di1ei2ee", "dictionary key must be a byte string"),
+    (b"d1:b1:x1:a1:ye", "dictionary keys not strictly sorted: b'b' then b'a'"),
+    (b"d1:a1:x1:a1:ye", "dictionary keys not strictly sorted: b'a' then b'a'"),
+    (b"le1:x", "trailing data at offset 2"),
+    (b"i1ee", "trailing data at offset 3"),
+    (b"e", "unexpected byte b'e' at offset 0"),
+    (b"x", "unexpected byte b'x' at offset 0"),
+    (b"l1:ae1:b", "trailing data at offset 5"),
+]
+
+
+class TestMalformedCorpus:
+    @pytest.mark.parametrize(
+        "wire, message", MALFORMED_CORPUS, ids=[repr(w) for w, _ in MALFORMED_CORPUS]
+    )
+    def test_raises_pinned_message(self, wire, message):
+        with pytest.raises(BencodeError) as caught:
+            bdecode(wire)
+        assert str(caught.value) == message
+
+
+def _nested_lists(levels):
+    return b"l" * levels + b"e" * levels
+
+
+class TestDepthLimit:
+    def test_100_nested_lists_decode(self):
+        value = bdecode(_nested_lists(100))
+        for _ in range(99):
+            (value,) = value
+        assert value == []
+
+    def test_100_nested_dicts_decode(self):
+        wire = b"d1:k" * 99 + b"de" + b"e" * 99
+        assert bencode(bdecode(wire)) == wire
+
+    @pytest.mark.parametrize("levels", [101, 600])
+    def test_deeper_nesting_raises(self, levels):
+        with pytest.raises(BencodeError, match="deeper than 100 levels"):
+            bdecode(_nested_lists(levels))
+
+    def test_deeper_dict_nesting_raises(self):
+        wire = b"d1:k" * 100 + b"de" + b"e" * 100
+        with pytest.raises(BencodeError, match="deeper than 100 levels"):
+            bdecode(wire)
+
+    @pytest.mark.parametrize("lead", [b"l", b"d"])
+    def test_unterminated_long_run_raises_bencode_error(self, lead):
+        with pytest.raises(BencodeError, match="deeper than 100 levels"):
+            bdecode(lead * 200_000)
+
+
+# Arbitrary bytes, bytes over the codec's own alphabet, and long runs of
+# container openers wrapped in arbitrary bytes.
+_wire_bytes = st.one_of(
+    st.binary(max_size=64),
+    st.lists(st.sampled_from(list(b"idle0123456789:-x")), max_size=32).map(bytes),
+    st.builds(
+        lambda head, lead, levels, tail: head + lead * levels + tail,
+        st.binary(max_size=8),
+        st.sampled_from([b"l", b"d", b"ld", b"d1:a"]),
+        st.integers(min_value=0, max_value=5_000),
+        st.binary(max_size=8),
+    ),
+)
+
+
+@given(_wire_bytes)
+@settings(max_examples=500, deadline=None)
+def test_only_bencode_error_escapes(wire):
+    """Any input decodes or raises BencodeError; what decodes is canonical."""
+    try:
+        value = bdecode(wire)
+    except BencodeError:
+        return
+    assert bencode(value) == wire
 
 
 # Hypothesis: arbitrary nested structures round-trip.

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bencode import bdecode, bencode, codec
+from repro.bencode import bdecode, bencode
 from repro.dht import krpc
 from repro.dht.krpc import (
     ERROR_GENERIC,
@@ -280,32 +280,6 @@ class TestKrpcProperties:
     def test_error_bytes_match_str_keyed_envelope(self, tid, code, text):
         expected = bencode({"t": tid, "y": "e", "e": [code, text]})
         assert encode_error(tid, code, text) == expected
-
-
-class TestCanonicalFastPath:
-    def test_canonical_payloads_never_take_the_sorting_path(self, monkeypatch):
-        """Sorted bytes-keyed payloads inside the bytes-keyed envelopes are
-        encoded without the str-key normalisation and sort."""
-
-        def fail(value, out):
-            raise AssertionError(f"slow dict path taken for {value!r}")
-
-        monkeypatch.setattr(codec, "_encode_dict_slow", fail)
-        encode_query(
-            b"t", "get_peers", {b"id": b"\x01" * 20, b"info_hash": b"\x02" * 20}
-        )
-        encode_response(
-            b"t",
-            {
-                b"id": b"\x01" * 20,
-                b"nodes": b"\x03" * 26,
-                b"peers": 2,
-                b"seeds": 1,
-                b"token": b"tok",
-                b"values": [b"\x04" * 6, b"\x05" * 6],
-            },
-        )
-        encode_error(b"t", ERROR_GENERIC, "x")
 
 
 # ----------------------------------------------------------------------

@@ -134,6 +134,31 @@ class TestValidation:
         with pytest.raises(MetainfoError, match="length"):
             parse_torrent(data)
 
+    @pytest.mark.parametrize(
+        "wire, field",
+        [
+            (
+                b"d8:announcei1e4:infod6:lengthi5e4:name1:a"
+                b"12:piece lengthi16e6:pieces20:xxxxxxxxxxxxxxxxxxxxee",
+                "'announce'",
+            ),
+            (
+                b"d8:announce1:u4:infod6:lengthi5e4:namei1e"
+                b"12:piece lengthi16e6:pieces20:xxxxxxxxxxxxxxxxxxxxee",
+                "'name'",
+            ),
+            (
+                b"d8:announce1:u4:infod5:filesld6:lengthi5e4:pathli1eeee"
+                b"4:name1:a12:piece lengthi16e6:pieces20:xxxxxxxxxxxxxxxxxxxxee",
+                "file path item",
+            ),
+        ],
+        ids=["announce", "name", "path"],
+    )
+    def test_parse_non_bytes_text_field(self, wire, field):
+        with pytest.raises(MetainfoError, match=f"{field} must be a byte string"):
+            parse_torrent(wire)
+
 
 @given(
     name=st.text(min_size=1, max_size=30).filter(lambda s: s.strip()),
@@ -145,6 +170,59 @@ def test_roundtrip_property(name, size):
     assert meta.total_length == size
     assert meta.num_pieces == max(1, -(-size // (256 * 1024)))
     assert len(meta.infohash) == 20
+
+
+_bencodable = st.recursive(
+    st.integers(min_value=-(10**20), max_value=10**20) | st.binary(max_size=24),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.binary(max_size=12), children, max_size=4),
+    max_leaves=10,
+)
+# Every field parse_torrent reads, as a path into the decoded dict.
+_FIELD_PATHS = [
+    (b"announce",),
+    (b"comment",),
+    (b"info",),
+    (b"info", b"name"),
+    (b"info", b"piece length"),
+    (b"info", b"pieces"),
+    (b"info", b"length"),
+    (b"info", b"files"),
+    (b"info", b"files", 0),
+    (b"info", b"files", 0, b"length"),
+    (b"info", b"files", 0, b"path"),
+    (b"info", b"files", 0, b"path", 0),
+]
+
+
+def _parses_or_rejects(data):
+    try:
+        parse_torrent(data)
+    except MetainfoError:
+        pass
+
+
+@given(st.binary(max_size=200))
+def test_only_metainfo_error_escapes_arbitrary_bytes(data):
+    _parses_or_rejects(data)
+
+
+@given(
+    multi_file=st.booleans(),
+    path=st.sampled_from(_FIELD_PATHS),
+    value=_bencodable,
+)
+def test_only_metainfo_error_escapes_one_replaced_field(multi_file, path, value):
+    # Paths into files[0] exist only in multi-file torrents.
+    extra = [TorrentFile("promo.txt", 10)] if multi_file or len(path) > 2 else None
+    decoded = bdecode(
+        build_torrent(ANNOUNCE, "x", 1_000, extra_files=extra, comment="c")
+    )
+    container = decoded
+    for step in path[:-1]:
+        container = container[step]
+    container[path[-1]] = value
+    _parses_or_rejects(bencode(decoded))
 
 
 class TestPieceDerivation:
