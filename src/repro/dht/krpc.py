@@ -116,8 +116,8 @@ _REPLY_TID = re.compile(rb"e1:t([1-9][0-9]{0,8}):")
 _VALUE_ENTRY = re.compile(rb"6:(.{6})", re.DOTALL)
 
 
-# Envelopes and payloads may be keyed by str or bytes: bencode normalises
-# and sorts the keys, so either spelling gives the same canonical bytes.
+# Payloads may be keyed by str or bytes: bencode normalises and sorts all
+# keys, so either spelling gives the same canonical bytes.
 def encode_query(tid: bytes, method: str, args: Dict[Key, object]) -> bytes:
     """Encode one KRPC query.
 
