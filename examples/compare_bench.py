@@ -12,6 +12,12 @@ follows (perfbench reports it per cell; the median over traced runs),
 largest move first, and the tier-1 wall time when both files carry one.
 The exit status is 1 when any metric is ``worse``.
 
+Two report-only notes say when the medians are not like for like.  Each
+workload's median ``cells`` per untraced run is printed for both files,
+marked ``differs`` when they differ: a run lasts a fixed time, so a faster
+commit runs more cells, over more seeds.  And one warning line is printed
+when the two files' ``host`` blocks differ.
+
 Schema-2 files are written by ``examples/record_bench.py``.  A schema-1
 file (BENCH_1.json, from the deleted ``repro bench``) timed the stages of
 cold cells of one scenario; it reads as one workload named after that
@@ -37,13 +43,14 @@ _SCHEMA1_STAGES = {"world_build": "setup_s", "crawl": "crawl_s",
 
 
 def load_bench(data: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    """Per workload: ``median`` end-to-end metrics and per-cell ``layers``."""
+    """Per workload: ``median`` end-to-end metrics, per-cell ``layers`` and
+    the median ``cells`` per untraced run (None when no run is recorded)."""
     version = data.get("schema_version")
     if version == 1:
         median = {metric: data["stages"][stage]["cold_seconds"]
                   for stage, metric in _SCHEMA1_STAGES.items()
                   if stage in data["stages"]}
-        return {data["scenario"]: {"median": median, "layers": {}}}
+        return {data["scenario"]: {"median": median, "layers": {}, "cells": None}}
     if version != 2:
         raise ValueError(f"unknown BENCH schema_version {version!r}")
     workloads = {}
@@ -52,9 +59,11 @@ def load_bench(data: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
         for run in entry.get("traced", []):
             for layer, seconds in run["self_s_by_layer"].items():
                 per_run.setdefault(layer, []).append(seconds)
+        cells = [run["cells"] for run in entry.get("runs", [])]
         workloads[name] = {
             "median": entry.get("median", {}),
             "layers": {layer: statistics.median(v) for layer, v in per_run.items()},
+            "cells": statistics.median(cells) if cells else None,
         }
     return workloads
 
@@ -90,6 +99,16 @@ def compare(left: Dict[str, Any], right: Dict[str, Any],
     return rows
 
 
+def cells_rows(left: Dict[str, Any], right: Dict[str, Any]) -> List[Dict[str, Any]]:
+    """Median cells per untraced run, for workloads both files ran."""
+    rows = []
+    for workload in sorted(left.keys() & right.keys()):
+        ca, cb = left[workload]["cells"], right[workload]["cells"]
+        if ca is not None and cb is not None:
+            rows.append({"workload": workload, "a": ca, "b": cb})
+    return rows
+
+
 def layer_rows(left: Dict[str, Any], right: Dict[str, Any]) -> List[Dict[str, Any]]:
     """Per-cell self time per layer, for workloads traced in both files."""
     rows = []
@@ -110,6 +129,9 @@ def render(a: Dict[str, Any], b: Dict[str, Any],
     """The report's lines, and whether any metric is worse past its bound."""
     left, right = load_bench(a), load_bench(b)
     lines = [f"A: {a.get('commit', 'schema 1')}  B: {b.get('commit', 'schema 1')}"]
+    if a.get("host") != b.get("host"):
+        lines.append(f"warning: hosts differ: A {json.dumps(a.get('host'), sort_keys=True)}"
+                     f"  B {json.dumps(b.get('host'), sort_keys=True)}")
     for side, mine, other in (("A", left, right), ("B", right, left)):
         for workload in sorted(mine.keys() - other.keys()):
             lines.append(f"{workload}: only in {side}")
@@ -119,6 +141,12 @@ def render(a: Dict[str, Any], b: Dict[str, Any],
             f"{row['workload']:<14} {row['metric']:<14} {row['a']:>9.3f} -> "
             f"{row['b']:>9.3f}  {_pct(row['a'], row['b']):>7}  "
             f"bound {100 * row['bound']:.0f}%  {row['verdict']}")
+    cells = cells_rows(left, right)
+    if cells:
+        lines.append("cells per run (median over untraced runs):")
+    for row in cells:
+        mark = "  differs" if row["a"] != row["b"] else ""
+        lines.append(f"{row['workload']:<14} {row['a']:>9g} -> {row['b']:>9g}{mark}")
     layers = layer_rows(left, right)
     if layers:
         lines.append("self_s per cell by layer:")

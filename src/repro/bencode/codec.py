@@ -31,10 +31,10 @@ from typing import Any, Dict, List, Tuple, Union
 
 Encodable = Union[int, bytes, str, list, tuple, dict]
 
-# Deepest list/dict nesting bdecode accepts (libtorrent's default limit).
-# Outside input can nest without bound; past this depth it raises
-# BencodeError instead of RecursionError.  No message in this codebase
-# nests deeper than 5 levels (a multi-file metainfo's `path` list).
+# Deepest list/dict nesting either direction accepts (libtorrent's default
+# bdecode limit).  Input and values can nest without bound; past this depth
+# both raise BencodeError instead of RecursionError.  No message in this
+# codebase nests deeper than 5 levels (a multi-file metainfo's `path` list).
 MAX_DEPTH = 100
 
 
@@ -45,33 +45,46 @@ class BencodeError(ValueError):
 def bencode(value: Encodable) -> bytes:
     """Serialise ``value`` to canonical bencode bytes."""
     out: List[bytes] = []
-    _encode(value, out)
+    _encode(value, out, 0)
     return b"".join(out)
 
 
-def _encode(value: Encodable, out: List[bytes]) -> None:
+def _utf8(text: str) -> bytes:
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:  # lone surrogates
+        raise BencodeError(f"str is not valid UTF-8: {exc.reason}") from None
+
+
+def _encode(value: Encodable, out: List[bytes], depth: int) -> None:
+    """Encode ``value``, which sits inside ``depth`` open containers."""
     if isinstance(value, bool):
         # bool is an int subclass; accepting it would silently encode flags
         # as 0/1 and round-trip to a different type.  Reject instead.
         raise BencodeError("cannot bencode bool; use an int explicitly")
     if isinstance(value, str):
-        value = value.encode("utf-8")
+        value = _utf8(value)
     if isinstance(value, int):
-        out.append(b"i%de" % value)
+        try:
+            out.append(b"i%de" % value)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise BencodeError("integer too long to encode") from None
     elif isinstance(value, bytes):
         out.append(b"%d:" % len(value))
         out.append(value)
+    elif isinstance(value, (list, tuple, dict)) and depth == MAX_DEPTH:
+        raise BencodeError(f"nesting deeper than {MAX_DEPTH} levels")
     elif isinstance(value, (list, tuple)):
         out.append(b"l")
         for item in value:
-            _encode(item, out)
+            _encode(item, out, depth + 1)
         out.append(b"e")
     elif isinstance(value, dict):
         out.append(b"d")
         normalised: Dict[bytes, Any] = {}
         for key, item in value.items():
             if isinstance(key, str):
-                key = key.encode("utf-8")
+                key = _utf8(key)
             if not isinstance(key, bytes):
                 raise BencodeError(
                     f"dictionary keys must be bytes or str, got {type(key).__name__}"
@@ -80,8 +93,8 @@ def _encode(value: Encodable, out: List[bytes]) -> None:
                 raise BencodeError(f"duplicate dictionary key {key!r}")
             normalised[key] = item
         for key in sorted(normalised):
-            _encode(key, out)
-            _encode(normalised[key], out)
+            _encode(key, out, depth)
+            _encode(normalised[key], out, depth + 1)
         out.append(b"e")
     else:
         raise BencodeError(f"cannot bencode {type(value).__name__}")

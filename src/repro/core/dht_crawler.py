@@ -33,7 +33,6 @@ from repro.dht import (
     node_id_to_bytes,
     unpack_compact_nodes,
     unpack_compact_peers,
-    xor_distance,
 )
 from repro.dht.routing import K
 from repro.observability import MetricsRegistry
@@ -85,11 +84,6 @@ class _Candidate:
     node_id: Optional[int] = None  # None until the node responds/is reported
     queried: bool = False
     responded: bool = False
-
-    def distance_to(self, target: int) -> int:
-        # Bootstrap entries with unknown ids sort first: they must be
-        # queried before any distance ordering exists at all.
-        return -1 if self.node_id is None else xor_distance(self.node_id, target)
 
 
 class DhtCrawler:
@@ -184,19 +178,29 @@ class DhtCrawler:
         candidates: Dict[int, _Candidate],
         target: int,
     ) -> List[_Candidate]:
-        """The next :data:`ALPHA` nodes worth querying, or [] at convergence."""
-        unqueried = [c for c in candidates.values() if not c.queried]
-        if not unqueried:
-            return []
-        responded = sorted(
-            (c for c in candidates.values() if c.responded),
-            key=lambda c: c.distance_to(target),
-        )
-        unqueried.sort(key=lambda c: c.distance_to(target))
+        """The next :data:`ALPHA` nodes worth querying, or [] at convergence.
+
+        Each candidate's distance is computed once.  Bootstrap entries with
+        unknown ids count as distance -1, so they sort first, in insertion
+        order: they must be queried before any distance ordering exists.
+        """
+        unqueried: List[Tuple[int, int, _Candidate]] = []
+        responded: List[int] = []
+        for index, candidate in enumerate(candidates.values()):
+            node_id = candidate.node_id
+            distance = -1 if node_id is None else node_id ^ target
+            if not candidate.queried:
+                unqueried.append((distance, index, candidate))
+            if candidate.responded:
+                responded.append(distance)
+        unqueried.sort()
+        frontier = unqueried[:ALPHA]
         if len(responded) >= K:
-            threshold = responded[K - 1].distance_to(target)
-            unqueried = [c for c in unqueried if c.distance_to(target) < threshold]
-        return unqueried[:ALPHA]
+            # Sorted, so filtering the first ALPHA equals filtering all.
+            responded.sort()
+            threshold = responded[K - 1]
+            frontier = [entry for entry in frontier if entry[0] < threshold]
+        return [candidate for _distance, _index, candidate in frontier]
 
     def _query_one(
         self,
@@ -241,12 +245,14 @@ class DhtCrawler:
         if isinstance(responder_id, bytes) and len(responder_id) == 20:
             candidate.node_id = int.from_bytes(responder_id, "big")
         for node_id_bytes, ip, port in nodes:
-            node_id = int.from_bytes(node_id_bytes, "big")
+            # Most returned nodes are known already; convert only the others.
             existing = candidates.get(ip)
             if existing is None:
-                candidates[ip] = _Candidate(ip=ip, port=port, node_id=node_id)
+                candidates[ip] = _Candidate(
+                    ip=ip, port=port, node_id=int.from_bytes(node_id_bytes, "big")
+                )
             elif existing.node_id is None:
-                existing.node_id = node_id
+                existing.node_id = int.from_bytes(node_id_bytes, "big")
         seeds = reply.values.get(b"seeds")
         leeches = reply.values.get(b"peers")
         return (

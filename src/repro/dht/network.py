@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.dht.node import DHT_PORT, DhtNode
+from repro.dht.node import DHT_PORT, DhtNode, stored_peer
 from repro.dht.routing import K, Contact, derive_node_id, xor_distance
 from repro.observability import MetricsRegistry
 
@@ -106,15 +106,17 @@ class DhtNetwork:
                 )
             )
         # Every node learns of every other; k-bucket capacity decides what
-        # sticks, so each table keeps the Kademlia-shaped subset.
+        # sticks, so each table keeps the Kademlia-shaped subset.  Contacts
+        # are frozen and stamped with the build time, so every table that
+        # keeps a node shares its one contact.
+        contacts = [
+            Contact(node_id=node.node_id, ip=node.ip, port=node.port, last_seen=0.0)
+            for node in nodes
+        ]
         for node in nodes:
-            for other in nodes:
-                if other is node:
-                    continue
-                node.table.observe(
-                    Contact(node_id=other.node_id, ip=other.ip, port=other.port),
-                    now=0.0,
-                )
+            for other, contact in zip(nodes, contacts):
+                if other is not node:
+                    node.table.observe(contact, now=0.0)
         table_sizes = metrics.histogram("dht.routing_table_size")
         for node in nodes:
             table_sizes.observe(float(len(node.table)))
@@ -149,16 +151,21 @@ class DhtNetwork:
         seed_from: Optional[float] = None,
     ) -> int:
         """Install one peer session's announce interval on the responsible
-        nodes.  Returns how many nodes stored it."""
+        nodes.  Returns how many nodes stored it (a zero-length session
+        counts, as it always has, though no node keeps it).
+
+        The nodes share one frozen ``StoredPeer``: each store holds the
+        same object a per-node :meth:`DhtNode.store_announce` would build.
+        """
+        peer = stored_peer(infohash, ip, port, start, end, seed_from)
         responsible = self._placement.get(infohash)
         if responsible is None:
             responsible = self._placement[infohash] = self.closest_nodes(
                 int.from_bytes(infohash, "big"), K
             )
-        for node in responsible:
-            node.store_announce(
-                infohash, ip=ip, port=port, start=start, end=end, seed_from=seed_from
-            )
+        if peer is not None:
+            for node in responsible:
+                node.store_peer(infohash, peer)
         self._m_stored.inc(len(responsible))
         return len(responsible)
 

@@ -64,6 +64,22 @@ class StoredPeer:
         return self.seed_from is not None and self.seed_from <= now
 
 
+def stored_peer(
+    infohash: bytes,
+    ip: int,
+    port: int,
+    start: float,
+    end: float,
+    seed_from: Optional[float] = None,
+) -> Optional[StoredPeer]:
+    """The announce interval to store, or None for a zero-length session."""
+    if len(infohash) != 20:
+        raise ValueError("infohash must be 20 bytes")
+    if end <= start:
+        return None  # zero-length session: never visible
+    return StoredPeer(ip=ip, port=port, start=start, end=end, seed_from=seed_from)
+
+
 class DhtNode:
     """One DHT participant with its routing table and announce store."""
 
@@ -88,6 +104,8 @@ class DhtNode:
         self._token_secret = token_secret or self._id_bytes[:8]
         self._rng = rng
         self._store: Dict[bytes, List[StoredPeer]] = {}
+        # Write token per querier IP (see token_for).
+        self._tokens: Dict[int, bytes] = {}
         # Packed closest-node blobs per target, valid for one membership
         # version of the routing table (see _compact_closest).
         self._closest_blobs: Dict[int, bytes] = {}
@@ -105,14 +123,15 @@ class DhtNode:
         end: float,
         seed_from: Optional[float] = None,
     ) -> None:
-        """Record one announce interval (the batch path the world uses)."""
-        if len(infohash) != 20:
-            raise ValueError("infohash must be 20 bytes")
-        if end <= start:
-            return  # zero-length session: never visible
-        self._store.setdefault(infohash, []).append(
-            StoredPeer(ip=ip, port=port, start=start, end=end, seed_from=seed_from)
-        )
+        """Record one announce interval."""
+        peer = stored_peer(infohash, ip, port, start, end, seed_from)
+        if peer is not None:
+            self.store_peer(infohash, peer)
+
+    def store_peer(self, infohash: bytes, peer: StoredPeer) -> None:
+        """Append a checked announce (see :func:`stored_peer`).  The world
+        shares one frozen ``StoredPeer`` across every responsible node."""
+        self._store.setdefault(infohash, []).append(peer)
 
     def peers_for(self, infohash: bytes, now: float) -> List[StoredPeer]:
         """All announces active at ``now`` (unsampled), in store order."""
@@ -125,10 +144,16 @@ class DhtNode:
     # Tokens
     # ------------------------------------------------------------------
     def token_for(self, ip: int) -> bytes:
-        """Opaque write-token bound to the querier's IP (BEP 5)."""
-        return hashlib.sha1(
-            self._token_secret + ip.to_bytes(4, "big")
-        ).digest()[:8]
+        """Opaque write-token bound to the querier's IP (BEP 5).
+
+        Memoised per IP: the secret never rotates, so a token never changes.
+        """
+        token = self._tokens.get(ip)
+        if token is None:
+            token = self._tokens[ip] = hashlib.sha1(
+                self._token_secret + ip.to_bytes(4, "big")
+            ).digest()[:8]
+        return token
 
     # ------------------------------------------------------------------
     # Query handling (wire bytes in, wire bytes out)
@@ -154,6 +179,7 @@ class DhtNode:
                 node_id=node_id_from_bytes(sender_id),
                 ip=sender_ip,
                 port=sender_port,
+                last_seen=now,
             ),
             now,
         )

@@ -90,15 +90,16 @@ class RoutingTable:
         """
         if contact.node_id == self.local_id:
             return False
+        if contact.last_seen != now:
+            # Contacts are frozen: one stamped ``now`` is stored as given.
+            contact = Contact(contact.node_id, contact.ip, contact.port, now)
         index = bucket_index(self.local_id, contact.node_id)
         bucket = self._buckets.setdefault(index, [])
         for position, existing in enumerate(bucket):
             if existing.node_id == contact.node_id:
                 # Known contact: refresh and move to the fresh end.
                 bucket.pop(position)
-                bucket.append(
-                    Contact(contact.node_id, contact.ip, contact.port, now)
-                )
+                bucket.append(contact)
                 if existing.ip != contact.ip or existing.port != contact.port:
                     self.version += 1
                 return True
@@ -108,7 +109,7 @@ class RoutingTable:
             # Kademlia would ping the oldest first; the simulation resolves
             # the ping outcome by staleness, deterministically.
             bucket.pop(0)
-        bucket.append(Contact(contact.node_id, contact.ip, contact.port, now))
+        bucket.append(contact)
         self.version += 1
         return True
 

@@ -247,6 +247,100 @@ class TestDepthLimit:
             bdecode(lead * 200_000)
 
 
+def _nest_in_lists(value, levels):
+    for _ in range(levels):
+        value = [value]
+    return value
+
+
+class TestEncodeLimits:
+    """Unencodable values raise BencodeError, never Python's own errors."""
+
+    def test_integer_past_int_conversion_limit(self):
+        with pytest.raises(BencodeError, match="integer too long"):
+            bencode(10**5000)
+
+    def test_negative_integer_past_int_conversion_limit(self):
+        with pytest.raises(BencodeError, match="integer too long"):
+            bencode([b"a", -(10**5000)])
+
+    def test_2000_nested_lists(self):
+        with pytest.raises(BencodeError, match="deeper than 100 levels"):
+            bencode(_nest_in_lists(0, 2000))
+
+    def test_100_nested_lists_encode(self):
+        assert bencode(_nest_in_lists(0, 100)) == b"l" * 100 + b"i0e" + b"e" * 100
+
+    def test_101_nested_lists_raise(self):
+        with pytest.raises(BencodeError, match="deeper than 100 levels"):
+            bencode(_nest_in_lists(0, 101))
+
+    def test_100_nested_dicts_encode_and_101_raise(self):
+        value = {}
+        for _ in range(99):
+            value = {b"k": value}
+        assert bencode(value) == b"d1:k" * 99 + b"de" + b"e" * 99
+        with pytest.raises(BencodeError, match="deeper than 100 levels"):
+            bencode({b"k": value})
+
+    def test_encode_and_decode_share_the_limit(self):
+        for levels in (100, 101):
+            wire = b"l" * levels + b"e" * levels
+            value = _nest_in_lists([], levels - 1)
+            if levels == 100:
+                assert bencode(value) == wire and bdecode(wire) == value
+            else:
+                with pytest.raises(BencodeError):
+                    bencode(value)
+                with pytest.raises(BencodeError):
+                    bdecode(wire)
+
+    def test_self_referencing_list(self):
+        value = []
+        value.append(value)
+        with pytest.raises(BencodeError, match="deeper than 100 levels"):
+            bencode(value)
+
+    @pytest.mark.parametrize("value", ["\ud800", {"\udfff": 1}, [b"a", "x\ud83d"]])
+    def test_lone_surrogate(self, value):
+        with pytest.raises(BencodeError, match="UTF-8"):
+            bencode(value)
+
+
+# Arbitrary Python values, encodable or not, nested up to 150 levels deep.
+_any_atoms = st.one_of(
+    st.integers(),
+    st.integers(min_value=10**4290, max_value=10**4400),
+    st.binary(max_size=16),
+    st.text(st.characters(), max_size=8),
+    st.sampled_from(["\ud800", "a\udfff"]),  # lone surrogates
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False),
+    st.just(b"x").map(bytearray),
+)
+_any_values = st.recursive(
+    _any_atoms,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.binary(max_size=4), st.text(max_size=4),
+                                  st.integers()), children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@given(_any_values, st.integers(min_value=0, max_value=150))
+@settings(max_examples=300, deadline=None)
+def test_bencode_returns_bytes_or_raises_bencode_error(value, extra_levels):
+    try:
+        encoded = bencode(_nest_in_lists(value, extra_levels))
+    except BencodeError:
+        return
+    assert isinstance(encoded, bytes)
+
+
 # Arbitrary bytes, bytes over the codec's own alphabet, and long runs of
 # container openers wrapped in arbitrary bytes.
 _wire_bytes = st.one_of(
