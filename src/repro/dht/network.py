@@ -151,8 +151,8 @@ class DhtNetwork:
         seed_from: Optional[float] = None,
     ) -> int:
         """Install one peer session's announce interval on the responsible
-        nodes.  Returns how many nodes stored it (a zero-length session
-        counts, as it always has, though no node keeps it).
+        nodes.  Returns how many nodes are responsible for it; a
+        zero-length session counts too, though no node keeps it.
 
         The nodes share one frozen ``StoredPeer``: each store holds the
         same object a per-node :meth:`DhtNode.store_announce` would build.
