@@ -16,7 +16,7 @@ Everything the crawler later pattern-matches on is produced here:
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
 from repro.portal.categories import Category
 
@@ -112,13 +112,8 @@ class NameForge:
             f"{first}{self._rng.randrange(1950, 2010)}", self._used_usernames
         )
 
-    def domain(self, hint: Optional[str] = None) -> str:
-        if hint:
-            stem = hint.lower().replace(" ", "")
-        else:
-            stem = (
-                self._rng.choice(_SCENE_ADJ) + self._rng.choice(_SCENE_NOUN)
-            ).lower()
+    def domain(self) -> str:
+        stem = (self._rng.choice(_SCENE_ADJ) + self._rng.choice(_SCENE_NOUN)).lower()
         candidate = f"{stem}.{self._rng.choice(_TLDS)}"
         return self._unique(candidate, self._used_domains)
 

@@ -166,17 +166,6 @@ class Population:
     forge: NameForge
     config: PopulationConfig
 
-    def by_class(self, cls: PublisherClass) -> List[PublisherAgent]:
-        return [a for a in self.agents if a.publisher_class is cls]
-
-    @property
-    def fake_agents(self) -> List[PublisherAgent]:
-        return [a for a in self.agents if a.is_fake]
-
-    @property
-    def top_agents(self) -> List[PublisherAgent]:
-        return [a for a in self.agents if a.is_top]
-
 
 def _weighted(rng: random.Random, pairs: List[Tuple[str, float]]) -> str:
     total = sum(w for _, w in pairs)

@@ -79,14 +79,45 @@ def _seed_value(value: str) -> int:
     return seed
 
 
-def _positive_float(value: str) -> float:
-    """Argparse type for a finite number > 0."""
+def _positive_int(value: str) -> int:
+    """Argparse type for an integer >= 1."""
     try:
-        number = float(value)
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {number}")
+    return number
+
+
+def _number(value: str) -> float:
+    try:
+        return float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {value!r}")
+
+
+def _positive_float(value: str) -> float:
+    """Argparse type for a finite number > 0."""
+    number = _number(value)
     if not (math.isfinite(number) and number > 0):
         raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {value!r}")
+    return number
+
+
+def _fraction(value: str) -> float:
+    """Argparse type for a fraction in [0, 1]."""
+    number = _number(value)
+    if not 0.0 <= number <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value!r}")
+    return number
+
+
+def _open_fraction(value: str) -> float:
+    """Argparse type for a fraction in the open interval (0, 1)."""
+    number = _number(value)
+    if not 0.0 < number < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {value!r}")
     return number
 
 
@@ -105,9 +136,9 @@ def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
         metavar="{" + ",".join(sorted(SCENARIO_FACTORIES)) + "}",
         help="which dataset analogue to build",
     )
-    parser.add_argument("--scale", type=float, default=1.0,
+    parser.add_argument("--scale", type=_positive_float, default=1.0,
                         help="publisher population scale (default 1.0)")
-    parser.add_argument("--pop", type=float, default=1.0,
+    parser.add_argument("--pop", type=_positive_float, default=1.0,
                         help="per-torrent popularity scale (default 1.0)")
     parser.add_argument("--seed", type=_seed_value, default=2010)
     parser.add_argument(
@@ -351,9 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1,
         help="worker processes; 1 runs serially in-process (default 1)",
     )
-    sweep_parser.add_argument("--scale", type=float, default=1.0,
+    sweep_parser.add_argument("--scale", type=_positive_float, default=1.0,
                               help="publisher population scale (default 1.0)")
-    sweep_parser.add_argument("--pop", type=float, default=1.0,
+    sweep_parser.add_argument("--pop", type=_positive_float, default=1.0,
                               help="per-torrent popularity scale (default 1.0)")
     sweep_parser.add_argument(
         "--discovery", choices=DISCOVERY_MODES, default=None,
@@ -389,17 +420,17 @@ def build_parser() -> argparse.ArgumentParser:
     monitor_parser.add_argument("--seed", type=_seed_value, default=2010)
     monitor_parser.add_argument("--limit", type=int, default=10)
     monitor_parser.add_argument(
-        "--verify", type=float, default=0.0,
+        "--verify", type=_fraction, default=0.0,
         help="fraction of new torrents to hash-verify (fake filter)",
     )
     monitor_parser.set_defaults(func=_cmd_monitor)
 
     appendix_parser = sub.add_parser("appendix", help="evaluate the Appendix "
                                      "A session model")
-    appendix_parser.add_argument("--n", type=int, default=165)
-    appendix_parser.add_argument("--w", type=int, default=50)
-    appendix_parser.add_argument("--spacing", type=float, default=18.0)
-    appendix_parser.add_argument("--confidence", type=float, default=0.99)
+    appendix_parser.add_argument("--n", type=_positive_int, default=165)
+    appendix_parser.add_argument("--w", type=_positive_int, default=50)
+    appendix_parser.add_argument("--spacing", type=_positive_float, default=18.0)
+    appendix_parser.add_argument("--confidence", type=_open_fraction, default=0.99)
     appendix_parser.set_defaults(func=_cmd_appendix)
 
     return parser

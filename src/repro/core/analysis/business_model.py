@@ -112,7 +112,6 @@ def build_business_model(
     dataset: Dataset,
     incentives: IncentivesReport,
     income: IncomeReport,
-    hosting_eur_per_server: float = 300.0,
 ) -> BusinessModelGraph:
     """Assemble the Figure 5 graph from the campaign's own estimates."""
     graph = BusinessModelGraph()
@@ -168,7 +167,7 @@ def build_business_model(
         if geo.isp in seen_isps:
             continue
         seen_isps.add(geo.isp)
-        estimate = hosting_provider_income(dataset, geo.isp, hosting_eur_per_server)
+        estimate = hosting_provider_income(dataset, geo.isp)
         hosting_total_eur += estimate.monthly_income_eur
     graph.flows.append(
         MoneyFlow(

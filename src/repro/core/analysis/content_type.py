@@ -9,7 +9,7 @@ on porn; altruistic tops on music/e-books.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.core.analysis.groups import PublisherGroups
 from repro.core.datasets import Dataset
@@ -52,19 +52,3 @@ def content_type_breakdown(
             group=name, num_torrents=total, shares=shares
         )
     return out
-
-
-def fine_category_breakdown(
-    dataset: Dataset, groups: PublisherGroups, group_name: str
-) -> Tuple[Tuple[str, float], ...]:
-    """Fine-grained (Pirate Bay category) shares for one group."""
-    counts: Dict[str, int] = {}
-    total = 0
-    for key in groups.group(group_name):
-        for record in groups.records_of.get(key, ()):
-            counts[record.category.value] = counts.get(record.category.value, 0) + 1
-            total += 1
-    return tuple(
-        (category, 100.0 * count / total)
-        for category, count in sorted(counts.items(), key=lambda kv: -kv[1])
-    ) if total else ()

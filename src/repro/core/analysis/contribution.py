@@ -13,7 +13,7 @@ from typing import Dict, Tuple
 from repro.core.datasets import Dataset
 from repro.stats.summaries import gini, top_share_curve
 
-DEFAULT_CURVE_POINTS = (1, 2, 3, 5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
+CURVE_POINTS = (1, 2, 3, 5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
 
 
 @dataclass(frozen=True)
@@ -49,21 +49,20 @@ def _publisher_contributions(dataset: Dataset) -> Tuple[str, Dict[str, list]]:
 def analyze_contribution(
     dataset: Dataset,
     top_k: int = 100,
-    curve_points: Tuple[float, ...] = DEFAULT_CURVE_POINTS,
 ) -> ContributionReport:
     keyed_by, by_key = _publisher_contributions(dataset)
     if not by_key:
         raise ValueError(f"dataset {dataset.name!r} has no identified publishers")
     counts = {key: len(records) for key, records in by_key.items()}
     values = list(counts.values())
-    curve = tuple(top_share_curve(values, curve_points))
+    curve = tuple(top_share_curve(values, CURVE_POINTS))
     download_weights = [
         sum(r.num_downloaders for r in records) for records in by_key.values()
     ]
     if sum(download_weights) > 0:
-        download_curve = tuple(top_share_curve(download_weights, curve_points))
+        download_curve = tuple(top_share_curve(download_weights, CURVE_POINTS))
     else:
-        download_curve = tuple((x, 0.0) for x in curve_points)
+        download_curve = tuple((x, 0.0) for x in CURVE_POINTS)
     total_content = sum(values)
     total_downloads = sum(r.num_downloaders for r in dataset.records.values())
 

@@ -24,6 +24,7 @@ from repro.core.datasets import Dataset, TorrentRecord, publisher_ips
 from repro.geoip import IspKind
 
 ALL_SAMPLE_SIZE = 400
+ALL_SAMPLE_SEED = 42  # rng seed of the All group's random sample
 
 
 @dataclass
@@ -103,11 +104,9 @@ def _split_by_isp_kind(
 def identify_groups(
     dataset: Dataset,
     top_k: int = 100,
-    sample_size: int = ALL_SAMPLE_SIZE,
-    seed: int = 42,
 ) -> PublisherGroups:
     """Build the All/Fake/Top/Top-HP/Top-CI groups for one dataset."""
-    rng = random.Random(seed)
+    rng = random.Random(ALL_SAMPLE_SEED)
     if dataset.has_usernames():
         by_key = dataset.records_by_username()
         mapping = analyze_mapping(dataset, top_k=top_k)
@@ -150,10 +149,10 @@ def identify_groups(
     population = sorted(
         key for key in groups.records_of if not key.startswith("fakeip:")
     )
-    if len(population) <= sample_size:
+    if len(population) <= ALL_SAMPLE_SIZE:
         groups.all_sample = population
     else:
-        groups.all_sample = sorted(rng.sample(population, sample_size))
+        groups.all_sample = sorted(rng.sample(population, ALL_SAMPLE_SIZE))
 
     groups.top_hp, groups.top_ci = _split_by_isp_kind(
         dataset, groups.top, groups.publisher_ips

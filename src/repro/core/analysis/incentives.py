@@ -32,6 +32,8 @@ PUBLISHER_CLASS_NAMES = ("BT Portals", "Other Web sites", "Altruistic Publishers
 
 # How many of a publisher's torrents the analyst inspects by hand.
 SAMPLE_TORRENTS_PER_PUBLISHER = 5
+# rng seed of check_regular_publishers' sample of non-top publishers.
+REGULAR_CHECK_SEED = 97
 
 
 @dataclass(frozen=True)
@@ -248,7 +250,6 @@ def check_regular_publishers(
     dataset: Dataset,
     groups: PublisherGroups,
     sample_size: int = 100,
-    seed: int = 97,
 ) -> int:
     """The paper's sanity check: sampled regular publishers show no promotion.
 
@@ -257,7 +258,7 @@ def check_regular_publishers(
     """
     import random as _random
 
-    rng = _random.Random(seed)
+    rng = _random.Random(REGULAR_CHECK_SEED)
     top_set = set(groups.top) | set(groups.fake)
     candidates = sorted(k for k in groups.records_of if k not in top_set)
     if len(candidates) > sample_size:

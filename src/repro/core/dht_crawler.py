@@ -72,10 +72,6 @@ class DhtLookupResult:
         # sample.  Report whichever view saw more, as a tracker reply does.
         return max(self.seeders + self.leechers, len(self.peers))
 
-    @property
-    def found_peers(self) -> bool:
-        return bool(self.peers)
-
 
 @dataclass
 class _Candidate:

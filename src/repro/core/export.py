@@ -42,7 +42,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.datasets import Dataset, IdentificationOutcome, TorrentRecord
 from repro.geoip import GeoIpDatabase, GeoRecord, IspKind, format_ip
 from repro.portal.categories import Category
-from repro.simulation.scenarios import ScenarioConfig
 
 SCHEMA_VERSION = "3"
 
@@ -301,9 +300,6 @@ class CampaignArchive:
             ) in rows
         ]
 
-    def publications_by_username(self, username: str) -> List[PublicationRow]:
-        return self._publications("WHERE t.username = ?", (username,))
-
     def publications_by_category(
         self, category: str, exclude_fake: bool = False
     ) -> List[PublicationRow]:
@@ -359,9 +355,6 @@ class CampaignArchive:
         )
         return [r[0] for r in cur.fetchall()]
 
-    def count_publications(self) -> int:
-        return self._conn.execute("SELECT COUNT(*) FROM torrents").fetchone()[0]
-
     def isp_breakdown(self) -> List[Tuple[str, int]]:
         """Publisher ISPs ranked by publications, ties by name."""
         cur = self._conn.execute(
@@ -397,7 +390,6 @@ def save_dataset(dataset: Dataset, path: str, overwrite: bool = False) -> None:
 
 def load_dataset(
     path: str,
-    config: Optional[ScenarioConfig] = None,
     dataset_services: Optional[Dataset] = None,
 ) -> Dataset:
     """Load an archive.
@@ -495,7 +487,7 @@ def load_dataset(
         portal = None  # type: ignore[assignment]
         web_directory = None  # type: ignore[assignment]
         monitor_panel = None  # type: ignore[assignment]
-        loaded_config = config
+        loaded_config = None
 
     return Dataset(
         name=meta["name"],

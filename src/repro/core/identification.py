@@ -28,15 +28,6 @@ class IdentificationResult:
     outcome: IdentificationOutcome
     publisher_ip: Optional[int] = None
 
-    @property
-    def is_final(self) -> bool:
-        """Whether retrying later could still change the outcome.
-
-        ``NO_SEEDER`` is retried (the publisher may announce late);
-        everything else is settled at first contact.
-        """
-        return self.outcome is not IdentificationOutcome.NO_SEEDER
-
 
 def identify_publisher(
     response: AnnounceResponse,

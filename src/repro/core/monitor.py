@@ -9,9 +9,8 @@ archive (:class:`~repro.core.export.CampaignArchive`): every discovered
 torrent -- via .torrent or magnet link, tracker or DHT -- is written there
 with its publisher IP's GeoIP row (ISP, city, country), so a monitor
 database written to a file loads with :func:`~repro.core.export.load_dataset`.
-Profit-driven publishers found by the incentives analysis get an annotated
-publisher page, and fake publishers can be flagged so that client-facing
-queries filter them out (the feature the paper says it is working on).
+Fake publishers can be flagged so that client-facing queries filter them
+out (the feature the paper says it is working on).
 """
 
 from __future__ import annotations
@@ -137,50 +136,8 @@ class ContentPublishingMonitor(Crawler):
             )
 
     # ------------------------------------------------------------------
-    # Annotations (fed by the offline analysis)
+    # Annotations
     # ------------------------------------------------------------------
-    def annotate_profit_driven(
-        self, username: str, promoted_url: str, business_type: str
-    ) -> None:
-        """Create the per-publisher page for a profit-driven publisher."""
-        self.store.annotate_publisher(
-            PublisherRow(
-                username=username,
-                promoted_url=promoted_url,
-                business_type=business_type,
-                profit_driven=True,
-                fake=False,
-                note=None,
-            )
-        )
-
-    def ingest_analysis(self, incentives, fake_usernames) -> int:
-        """Feed an offline analysis back into the live database.
-
-        ``incentives`` is a
-        :class:`~repro.core.analysis.incentives.IncentivesReport`;
-        ``fake_usernames`` the detected fake set.  Creates the per-publisher
-        pages for profit-driven publishers and flags fake accounts; returns
-        the number of annotations written.
-        """
-        written = 0
-        for key in incentives.profit_driven():
-            publisher = incentives.publishers[key]
-            url = publisher.website.url if publisher.website else (
-                publisher.evidence.urls[0] if publisher.evidence.urls else ""
-            )
-            business = (
-                publisher.website.business_type.value
-                if publisher.website
-                else publisher.publisher_class
-            )
-            self.annotate_profit_driven(key, url, business)
-            written += 1
-        for username in fake_usernames:
-            self.flag_fake(username)
-            written += 1
-        return written
-
     def flag_fake(self, username: str, note: str = "") -> None:
         """Flag a fake publisher so client queries can filter it out."""
         self.store.annotate_publisher(

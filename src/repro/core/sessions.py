@@ -24,6 +24,11 @@ from repro.stats.summaries import percentile
 
 Interval = Tuple[float, float]
 
+# The paper's conservative percentile for the eq. 1 inputs N and spacing.
+BOUND_PERCENTILE = 90.0
+# Minutes credited to a session witnessed by a single isolated sighting.
+MIN_SESSION = 10.0
+
 
 def detection_probability(n_peers: int, sample_size: int, num_queries: int) -> float:
     """Eq. 1: P(target seen at least once in ``num_queries`` queries)."""
@@ -40,6 +45,8 @@ def required_queries(
     """Smallest m with detection probability >= ``confidence`` (paper: 13)."""
     if not 0 < confidence < 1:
         raise ValueError("confidence must be in (0, 1)")
+    if n_peers < 1 or sample_size < 1:
+        raise ValueError("n_peers and sample_size must be >= 1")
     if sample_size >= n_peers:
         return 1
     miss = 1.0 - sample_size / n_peers
@@ -57,29 +64,28 @@ def offline_threshold(
     With the paper's parameters (165, 50, 18 min, 0.99) this is 13 queries x
     18 min = 234 min, which the paper rounds to its 4-hour threshold.
     """
-    if query_spacing <= 0:
-        raise ValueError("query_spacing must be > 0")
+    if not (math.isfinite(query_spacing) and query_spacing > 0):
+        raise ValueError("query_spacing must be finite and > 0")
     return required_queries(n_peers, sample_size, confidence) * query_spacing
 
 
-def estimate_query_spacing(
-    query_times: Sequence[float], pct: float = 90.0
-) -> float:
-    """Per-torrent inter-query spacing at a conservative percentile."""
+def estimate_query_spacing(query_times: Sequence[float]) -> float:
+    """Per-torrent inter-query spacing at the ``BOUND_PERCENTILE``."""
     if len(query_times) < 2:
         raise ValueError("need at least two query times")
     ordered = sorted(query_times)
     gaps = [b - a for a, b in zip(ordered, ordered[1:]) if b > a]
     if not gaps:
         raise ValueError("all query times identical")
-    return percentile(gaps, pct)
+    return percentile(gaps, BOUND_PERCENTILE)
 
 
-def population_bound(max_populations: Sequence[int], pct: float = 90.0) -> int:
-    """The N to plug into eq. 1: e.g. 90th pct of per-torrent peak sizes."""
+def population_bound(max_populations: Sequence[int]) -> int:
+    """The N to plug into eq. 1: the 90th pct of per-torrent peak sizes."""
     if not max_populations:
         raise ValueError("no population samples")
-    return max(1, int(math.ceil(percentile([float(v) for v in max_populations], pct))))
+    values = [float(v) for v in max_populations]
+    return max(1, int(math.ceil(percentile(values, BOUND_PERCENTILE))))
 
 
 @dataclass(frozen=True)
@@ -99,20 +105,16 @@ class SessionEstimate:
 
 
 def reconstruct_sessions(
-    sighting_times: Sequence[float],
-    threshold: float,
-    min_session: float = 10.0,
+    sighting_times: Sequence[float], threshold: float
 ) -> SessionEstimate:
     """Merge sightings separated by less than ``threshold`` into sessions.
 
     A single isolated sighting still witnesses presence; it becomes a session
-    of ``min_session`` minutes (the peer was certainly there once, and query
+    of ``MIN_SESSION`` minutes (the peer was certainly there once, and query
     spacing bounds how much longer).
     """
     if threshold <= 0:
         raise ValueError("threshold must be > 0")
-    if min_session < 0:
-        raise ValueError("min_session must be >= 0")
     if not sighting_times:
         return SessionEstimate(sessions=(), offline_threshold=threshold)
     ordered = sorted(sighting_times)
@@ -121,11 +123,11 @@ def reconstruct_sessions(
     last = ordered[0]
     for t in ordered[1:]:
         if t - last > threshold:
-            sessions.append((start, max(last, start + min_session)))
+            sessions.append((start, max(last, start + MIN_SESSION)))
             start = t
         last = t
-    sessions.append((start, max(last, start + min_session)))
-    # The min_session padding must never spill into the next session (it can
+    sessions.append((start, max(last, start + MIN_SESSION)))
+    # The MIN_SESSION padding must never spill into the next session (it can
     # when the threshold is smaller than the padding).
     clamped: List[Interval] = []
     for index, (s, e) in enumerate(sessions):

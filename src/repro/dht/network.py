@@ -125,9 +125,6 @@ class DhtNetwork:
     # ------------------------------------------------------------------
     # Addressing
     # ------------------------------------------------------------------
-    def node_at(self, ip: int) -> Optional[DhtNode]:
-        return self._by_ip.get(ip)
-
     def bootstrap_ips(self) -> List[int]:
         """Well-known entry points (the router.bittorrent.com stand-ins)."""
         return [node.ip for node in self.nodes[:BOOTSTRAP_COUNT]]

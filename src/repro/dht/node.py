@@ -137,9 +137,6 @@ class DhtNode:
         """All announces active at ``now`` (unsampled), in store order."""
         return [p for p in self._store.get(infohash, ()) if p.start <= now < p.end]
 
-    def stored_intervals(self, infohash: bytes) -> int:
-        return len(self._store.get(infohash, ()))
-
     # ------------------------------------------------------------------
     # Tokens
     # ------------------------------------------------------------------

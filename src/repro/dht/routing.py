@@ -142,9 +142,6 @@ class RoutingTable:
         contacts.sort(key=lambda c: c.node_id ^ target)
         return contacts[:count]
 
-    def bucket_sizes(self) -> Dict[int, int]:
-        return {index: len(bucket) for index, bucket in self._buckets.items() if bucket}
-
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
 

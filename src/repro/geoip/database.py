@@ -60,10 +60,6 @@ class GeoRecord:
     country: str
     city: str
 
-    @property
-    def is_hosting(self) -> bool:
-        return self.kind is IspKind.HOSTING_PROVIDER
-
 
 @dataclass(frozen=True)
 class _PrefixInfo:

@@ -405,14 +405,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Introspection / export
     # ------------------------------------------------------------------
-    def instrument_names(self, include_wall: bool = True) -> List[str]:
-        names = []
-        for name, instrument in self._instruments.items():
-            if not include_wall and getattr(instrument, "wall", False):
-                continue
-            names.append(name)
-        return sorted(names)
-
     def snapshot(
         self, include_wall: bool = True, include_samples: bool = False
     ) -> Dict[str, Any]:

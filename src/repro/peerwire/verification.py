@@ -38,6 +38,10 @@ from repro.swarm import PeerSession, Swarm
 from repro.torrent import TorrentMeta
 from repro.torrent.metainfo import piece_payload
 
+CLIENT_PEER_ID = b"-RP1000-repro-verif1"
+SAMPLE_PIECES = 2  # pieces downloaded and hash-checked per verification
+MAX_PEERS_TO_TRY = 5  # connectable full-content peers probed before UNREACHABLE
+
 
 class ContentVerdict(enum.Enum):
     """Outcome of verifying a swarm's content against its metainfo."""
@@ -82,19 +86,14 @@ def verify_content(
     meta: TorrentMeta,
     now: float,
     rng: random.Random,
-    client_peer_id: bytes = b"-RP1000-repro-verif1",
-    sample_pieces: int = 2,
-    max_peers_to_try: int = 5,
 ) -> VerificationResult:
-    """Download and hash-check ``sample_pieces`` pieces from the swarm.
+    """Download and hash-check ``SAMPLE_PIECES`` pieces from the swarm.
 
-    Probes up to ``max_peers_to_try`` currently-connectable peers, preferring
+    Probes up to ``MAX_PEERS_TO_TRY`` currently-connectable peers, preferring
     ones whose session holds the full content (the publisher or finished
     downloaders).  One failed hash is enough for a CORRUPT verdict -- which
     is how clients and the paper's victims discovered decoys.
     """
-    if sample_pieces < 1:
-        raise ValueError("sample_pieces must be >= 1")
     candidates: List[PeerSession] = [
         session
         for session in swarm.sessions_at(now)
@@ -102,10 +101,10 @@ def verify_content(
     ]
     rng.shuffle(candidates)
     indexes = sorted(
-        rng.sample(range(meta.num_pieces), min(sample_pieces, meta.num_pieces))
+        rng.sample(range(meta.num_pieces), min(SAMPLE_PIECES, meta.num_pieces))
     )
-    for session in candidates[:max_peers_to_try]:
-        result = _verify_against(session, meta, indexes, client_peer_id)
+    for session in candidates[:MAX_PEERS_TO_TRY]:
+        result = _verify_against(session, meta, indexes)
         if result is not None:
             checked, failed = result
             verdict = (
@@ -126,11 +125,10 @@ def _verify_against(
     session: PeerSession,
     meta: TorrentMeta,
     indexes: List[int],
-    client_peer_id: bytes,
 ) -> Optional[Tuple[int, int]]:
     """Full wire exchange against one peer; (checked, failed) or None."""
     # Handshake both ways.
-    outgoing = encode_handshake(meta.infohash, client_peer_id)
+    outgoing = encode_handshake(meta.infohash, CLIENT_PEER_ID)
     infohash, _ = decode_handshake(outgoing)
     if infohash != meta.infohash:
         raise AssertionError("handshake round-trip corrupted infohash")

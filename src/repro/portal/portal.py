@@ -232,9 +232,6 @@ class Portal:
             recent_torrent_ids=recent[-50:],
         )
 
-    def is_removed(self, torrent_id: int, now: float) -> bool:
-        return not self._visible(self._require(torrent_id), now)
-
     @property
     def num_items(self) -> int:
         return len(self._items)

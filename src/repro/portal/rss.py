@@ -72,14 +72,5 @@ class RssFeed:
         visible_from = max(lo, hi - self.depth)
         return self._entries[visible_from:hi]
 
-    def missed_between(self, after: float, until: float) -> int:
-        """How many entries a poll at ``until`` has irrecoverably missed."""
-        lo = bisect.bisect_right(self._times, after)
-        hi = bisect.bisect_right(self._times, until)
-        return max(0, (hi - lo) - self.depth)
-
     def __len__(self) -> int:
         return len(self._entries)
-
-    def all_entries(self) -> List[RssEntry]:
-        return list(self._entries)

@@ -93,10 +93,6 @@ class EventScheduler:
             raise ValueError(f"delay must be finite and >= 0, got {delay}")
         self.schedule(self.clock.now + delay, callback, *args)
 
-    def peek_time(self) -> Optional[float]:
-        """Time of the next pending event, or None if the queue is empty."""
-        return self._heap[0][0] if self._heap else None
-
     def _dispatch(self, time: float, callback: Callable[..., None], args: tuple) -> None:
         """Advance the clock, run one callback, account for it."""
         self._m_depth.observe(len(self._heap) + 1)
@@ -124,18 +120,6 @@ class EventScheduler:
             time, _seq, callback, args = heapq.heappop(self._heap)
             self._dispatch(time, callback, args)
         self.clock.advance_to(max(self.clock.now, end_time))
-        self._m_sim_time.set(self.clock.now)
-
-    def run_all(self, max_events: Optional[int] = None) -> None:
-        """Drain the queue completely (bounded by ``max_events`` if given)."""
-        remaining = max_events
-        while self._heap:
-            if remaining is not None:
-                if remaining <= 0:
-                    raise RuntimeError("max_events exhausted; runaway schedule?")
-                remaining -= 1
-            time, _seq, callback, args = heapq.heappop(self._heap)
-            self._dispatch(time, callback, args)
         self._m_sim_time.set(self.clock.now)
 
     def pending(self) -> int:

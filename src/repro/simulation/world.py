@@ -128,7 +128,6 @@ class World:
         self.metrics = metrics
         self.truth = WorldTruth()
         self._swarms_by_torrent_id: Dict[int, Swarm] = {}
-        self._num_pieces_by_torrent_id: Dict[int, int] = {}
         self._keepalive_cache: Dict[int, List[Tuple[float, float]]] = {}
 
     # ------------------------------------------------------------------
@@ -194,9 +193,6 @@ class World:
         """Ground-truth swarm count (sweep payloads report it next to the
         measured torrent count)."""
         return len(self._swarms_by_torrent_id)
-
-    def num_pieces_for(self, torrent_id: int) -> int:
-        return self._num_pieces_by_torrent_id[torrent_id]
 
     # ------------------------------------------------------------------
     # Consumer address pool
@@ -520,7 +516,6 @@ class World:
         swarm.add_sessions(downloader_sessions)
 
         self._swarms_by_torrent_id[torrent_id] = swarm
-        self._num_pieces_by_torrent_id[torrent_id] = meta.num_pieces
         swarm_records.append((torrent_id, swarm))
         self.truth.torrents.append(
             TorrentTruth(

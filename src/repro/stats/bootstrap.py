@@ -22,10 +22,10 @@ from typing import Any, Dict, Sequence, Tuple
 from repro.stats.summaries import percentile
 
 
-def seed_for_metric(name: str, base: int = 0) -> int:
+def seed_for_metric(name: str) -> int:
     """A stable bootstrap seed for a metric name (never ``hash()``: that is
     randomised per process and would break --jobs determinism)."""
-    return zlib.crc32(name.encode("utf-8")) ^ base
+    return zlib.crc32(name.encode("utf-8"))
 
 
 def bootstrap_ci(

@@ -44,13 +44,13 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_number(value: float, precision: int = 2) -> str:
-    """Human-friendly compact number: 1234567 -> '1.23M'."""
+def format_number(value: float) -> str:
+    """Human-friendly compact number: 1234567 -> '1.23M' (two decimals)."""
     sign = "-" if value < 0 else ""
     v = abs(float(value))
     for threshold, suffix in ((1e9, "B"), (1e6, "M"), (1e3, "K")):
         if v >= threshold:
-            return f"{sign}{v / threshold:.{precision}f}{suffix}"
+            return f"{sign}{v / threshold:.2f}{suffix}"
     if v == int(v):
         return f"{sign}{int(v)}"
-    return f"{sign}{v:.{precision}f}"
+    return f"{sign}{v:.2f}"

@@ -71,10 +71,6 @@ class PeerSession:
     def duration(self) -> float:
         return self.leave_time - self.join_time
 
-    def is_seeder_at(self, t: float) -> bool:
-        """Seeder status at time ``t`` (only meaningful while present)."""
-        return self.complete_time is not None and t >= self.complete_time
-
     def progress_at(self, t: float) -> float:
         """Download progress in [0, 1] at time ``t``.
 

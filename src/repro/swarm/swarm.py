@@ -6,8 +6,8 @@ completion / departure time and advances three cursors monotonically; each
 query costs O(state transitions since last query + sample size), never
 O(total sessions).
 
-Non-monotonic inspection (used by tests and by ground-truth validation) goes
-through :meth:`Swarm.sessions_at`, which is a plain O(n) scan.
+Non-monotonic inspection (the content verifier, and tests) goes through
+:meth:`Swarm.sessions_at`, which is a plain O(n) scan.
 """
 
 from __future__ import annotations
@@ -198,29 +198,10 @@ class Swarm:
         return None
 
     # ------------------------------------------------------------------
-    # Ground-truth inspection (tests / validation only)
+    # Ground-truth inspection
     # ------------------------------------------------------------------
     def sessions_at(self, t: float) -> List[PeerSession]:
         """All sessions active at ``t`` (non-incremental O(n) scan)."""
         return [
             s for s in self._sessions if s.join_time <= t < s.leave_time
         ]
-
-    def peak_population(self, resolution: float = 60.0) -> int:
-        """Maximum instantaneous population, scanned at ``resolution`` minutes."""
-        if not self._sessions:
-            return 0
-        start = min(s.join_time for s in self._sessions)
-        end = max(s.leave_time for s in self._sessions)
-        peak = 0
-        t = start
-        while t <= end:
-            peak = max(peak, len(self.sessions_at(t)))
-            t += resolution
-        return peak
-
-    def end_of_life(self) -> float:
-        """When the last session leaves (the swarm dies)."""
-        if not self._sessions:
-            return self.birth_time
-        return max(s.leave_time for s in self._sessions)

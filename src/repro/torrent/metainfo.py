@@ -60,14 +60,6 @@ class TorrentMeta:
     files: List[TorrentFile] = field(default_factory=list)
     comment: Optional[str] = None
 
-    @property
-    def infohash_hex(self) -> str:
-        return self.infohash.hex()
-
-    @property
-    def is_multi_file(self) -> bool:
-        return len(self.files) > 1
-
 
 # Size of the materialised stand-in block for each piece.  Real pieces are
 # piece_length bytes; simulated transfers exchange this compact stand-in,

@@ -128,9 +128,6 @@ class Tracker:
         self._swarms[swarm.infohash] = swarm
         self._m_swarms.set(len(self._swarms))
 
-    def has_swarm(self, infohash: bytes) -> bool:
-        return infohash in self._swarms
-
     def swarm(self, infohash: bytes) -> Swarm:
         try:
             return self._swarms[infohash]
@@ -140,9 +137,6 @@ class Tracker:
     @property
     def num_swarms(self) -> int:
         return len(self._swarms)
-
-    def is_blacklisted(self, client_ip: int) -> bool:
-        return client_ip in self._blacklist
 
     # ------------------------------------------------------------------
     # Client-facing protocol

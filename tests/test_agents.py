@@ -25,6 +25,18 @@ from repro.portal.categories import Category
 from repro.simulation.clock import DAY
 
 
+def agents_of_class(population, cls):
+    return [a for a in population.agents if a.publisher_class is cls]
+
+
+def fake_agents(population):
+    return [a for a in population.agents if a.is_fake]
+
+
+def top_agents(population):
+    return [a for a in population.agents if a.is_top]
+
+
 @pytest.fixture(scope="module")
 def plan():
     return AddressPlan(default_isp_profiles(), random.Random(11))
@@ -141,9 +153,9 @@ class TestProfiles:
 class TestPopulation:
     def test_counts(self, population):
         config = population.config
-        assert len(population.by_class(PublisherClass.REGULAR)) == config.num_regular
-        assert len(population.fake_agents) == config.total_fake
-        assert len(population.top_agents) == (
+        assert len(agents_of_class(population, PublisherClass.REGULAR)) == config.num_regular
+        assert len(fake_agents(population)) == config.total_fake
+        assert len(top_agents(population)) == (
             config.num_bt_portal + config.num_web_promoter + config.num_altruistic_top
         )
 
@@ -154,34 +166,34 @@ class TestPopulation:
     def test_fake_agents_at_fake_hosting(self, population):
         from repro.geoip.isps import FAKE_PUBLISHER_HOSTS
 
-        for agent in population.fake_agents:
+        for agent in fake_agents(population):
             assert agent.isps[0] in FAKE_PUBLISHER_HOSTS
             assert len(agent.ips) >= 8
             assert not agent.natted
 
     def test_fake_agents_have_hacked_usernames(self, population):
         regular_names = {
-            a.username for a in population.by_class(PublisherClass.REGULAR)
+            a.username for a in agents_of_class(population, PublisherClass.REGULAR)
         }
-        for agent in population.fake_agents:
+        for agent in fake_agents(population):
             assert agent.hacked_usernames
             assert set(agent.hacked_usernames) <= regular_names
 
     def test_hacked_pools_disjoint(self, population):
         seen = set()
-        for agent in population.fake_agents:
+        for agent in fake_agents(population):
             assert not (seen & set(agent.hacked_usernames))
             seen |= set(agent.hacked_usernames)
 
     def test_profit_driven_have_websites_and_promos(self, population):
         for cls in (PublisherClass.TOP_BT_PORTAL, PublisherClass.TOP_WEB_PROMOTER):
-            for agent in population.by_class(cls):
+            for agent in agents_of_class(population, cls):
                 assert agent.website is not None
                 assert agent.promo_placements
                 assert population.web_directory.lookup(agent.website.url)
 
     def test_altruistic_have_no_website(self, population):
-        for agent in population.by_class(PublisherClass.TOP_ALTRUISTIC):
+        for agent in agents_of_class(population, PublisherClass.TOP_ALTRUISTIC):
             assert agent.website is None
             assert not agent.promo_placements
 
@@ -189,7 +201,7 @@ class TestPopulation:
         from repro.geoip import IspKind
 
         db = plan.build_database()
-        for agent in population.by_class(PublisherClass.REGULAR):
+        for agent in agents_of_class(population, PublisherClass.REGULAR):
             for ip in agent.ips:
                 assert db.lookup(ip).kind is IspKind.COMMERCIAL_ISP
 
@@ -209,7 +221,7 @@ class TestPopulation:
 
 class TestBehavior:
     def _agent(self, population, cls):
-        return population.by_class(cls)[0]
+        return agents_of_class(population, cls)[0]
 
     def test_publication_times_within_window(self, population):
         rng = random.Random(20)
@@ -225,7 +237,7 @@ class TestBehavior:
 
     def test_fake_publishes_much_more(self, population):
         rng = random.Random(22)
-        fake = population.fake_agents[0]
+        fake = fake_agents(population)[0]
         regular = self._agent(population, PublisherClass.REGULAR)
         fake_count = len(publication_times(rng, fake, 0.0, 10 * DAY))
         regular_count = len(publication_times(rng, regular, 0.0, 10 * DAY))
@@ -233,7 +245,7 @@ class TestBehavior:
 
     def test_online_schedule_covers_range(self, population):
         rng = random.Random(23)
-        fake = population.fake_agents[0]
+        fake = fake_agents(population)[0]
         blocks = online_schedule(rng, fake, 0.0, 20 * DAY)
         assert blocks[0][0] == 0.0
         assert all(end > start for start, end in blocks)
@@ -243,7 +255,7 @@ class TestBehavior:
 
     def test_keepalive_seeding_spans_abandon_window(self, population):
         rng = random.Random(24)
-        fake = population.fake_agents[0]
+        fake = fake_agents(population)[0]
         schedule = online_schedule(rng, fake, 0.0, 30 * DAY)
         sessions = seeding_sessions(rng, fake, 5 * DAY, schedule)
         assert sessions
@@ -262,11 +274,11 @@ class TestBehavior:
     def test_hosting_seeds_longer_than_commercial(self, population):
         rng = random.Random(26)
         hosted = [
-            a for a in population.top_agents
+            a for a in top_agents(population)
             if a.ip_policy in (IpPolicy.SINGLE_HOSTING, IpPolicy.MULTI_HOSTING)
         ]
         commercial = [
-            a for a in population.top_agents
+            a for a in top_agents(population)
             if a.ip_policy not in (IpPolicy.SINGLE_HOSTING, IpPolicy.MULTI_HOSTING)
         ]
         if not hosted or not commercial:

@@ -10,7 +10,6 @@ import pytest
 from repro.core.analysis.contribution import analyze_contribution
 from repro.core.analysis.content_type import (
     content_type_breakdown,
-    fine_category_breakdown,
 )
 from repro.core.analysis.groups import group_shares
 from repro.core.analysis.incentives import (
@@ -93,7 +92,7 @@ class TestMapping:
     def test_fake_ips_are_truly_fake(self, dataset, world):
         fake_ips, _, _ = detect_fake_publishers(dataset)
         truth_fake_ips = set()
-        for agent in world.population.fake_agents:
+        for agent in (a for a in world.population.agents if a.is_fake):
             truth_fake_ips.update(agent.ips)
         assert fake_ips
         assert fake_ips <= truth_fake_ips
@@ -182,12 +181,6 @@ class TestContentType:
         breakdown = content_type_breakdown(dataset, groups)
         fake = breakdown["Fake"]
         assert fake.video_share + fake.share("Software") > 75.0
-
-    def test_fine_breakdown(self, dataset, groups):
-        rows = fine_category_breakdown(dataset, groups, "All")
-        assert rows
-        assert sum(share for _, share in rows) == pytest.approx(100.0)
-
 
 class TestPopularity:
     def test_top_more_popular_than_all(self, dataset, groups):

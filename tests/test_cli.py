@@ -43,6 +43,36 @@ class TestParser:
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [command, *positional, flag, value]
+            for command, positional in (
+                ("run", ["tiny"]), ("report", ["tiny"]),
+                ("metrics", ["tiny"]), ("sweep", []),
+            )
+            for flag, value in (
+                ("--scale", "0"), ("--scale", "-1"), ("--scale", "nan"),
+                ("--pop", "-1"),
+            )
+        ]
+        + [
+            ["monitor", "--verify", "2"],
+            ["appendix", "--w", "0"],
+            ["appendix", "--confidence", "1.5"],
+            ["appendix", "--spacing", "nan"],
+            ["appendix", "--n", "-3"],
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_range_numbers_rejected(self, argv, capsys):
+        """Numbers outside a flag's range are usage errors, not tracebacks
+        from deep inside a campaign (or silent nonsense from `appendix`)."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_appendix_command(self, capsys):

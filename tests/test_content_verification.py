@@ -146,11 +146,6 @@ class TestVerification:
         result = verify_content(swarm, meta, 5000.0, random.Random(1))
         assert result.verdict is ContentVerdict.UNREACHABLE
 
-    def test_sample_validation(self):
-        swarm, meta = self._swarm(garbage=False)
-        with pytest.raises(ValueError):
-            verify_content(swarm, meta, 10.0, random.Random(1), sample_pieces=0)
-
 
 class TestVerificationOnWorld:
     def test_fake_torrents_fail_real_ones_pass(self, world):

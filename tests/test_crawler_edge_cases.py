@@ -82,8 +82,7 @@ class TestVantageScaling:
             settings=CrawlerSettings(rss_poll_interval=10.0, vantage_count=4),
         )
         assert dataset.crawler_stats["announce_failures"] == 0
-        for vantage in range(4):
-            assert not world.tracker.is_blacklisted((10 << 24) | (66 << 16) | vantage)
+        assert world.metrics.counter("tracker.clients_blacklisted").value() == 0
 
 
 class TestMonitoringTermination:

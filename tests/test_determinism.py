@@ -83,7 +83,7 @@ class TestMetricsDeterminism:
     def test_snapshot_spans_the_whole_pipeline(self):
         registry = MetricsRegistry()
         run_measurement(_config(), seed=31, metrics=registry)
-        names = registry.instrument_names(include_wall=False)
+        names = sorted(registry.snapshot(include_wall=False))
         assert len(names) >= 10
         subsystems = {name.split(".")[0] for name in names}
         assert {"engine", "crawler", "tracker", "swarm", "portal"} <= subsystems
@@ -91,8 +91,8 @@ class TestMetricsDeterminism:
     def test_wall_metrics_exist_but_stay_out_of_sim_snapshot(self):
         registry = MetricsRegistry()
         run_measurement(_config(), seed=31, metrics=registry)
-        all_names = set(registry.instrument_names(include_wall=True))
-        sim_names = set(registry.instrument_names(include_wall=False))
+        all_names = set(registry.snapshot(include_wall=True))
+        sim_names = set(registry.snapshot(include_wall=False))
         assert "engine.callback_wall_ms" in all_names - sim_names
         assert "campaign.crawl_wall_ms" in all_names - sim_names
 

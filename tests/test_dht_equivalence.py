@@ -19,6 +19,7 @@ from repro.dht import DhtConfig, DhtNetwork
 from repro.dht.node import DhtNode
 from repro.dht.routing import K, Contact, RoutingTable, derive_node_id
 from repro.observability import MetricsRegistry
+from tests.dht_oracles import stored_intervals
 from tests.dht_reference import pick_frontier_reference
 
 INFOHASH = b"\x3c" * 20
@@ -191,7 +192,7 @@ def test_announce_session_equals_per_node_store_announce(sessions):
     for now in (0.0, 0.5, 100.0, 250.0, 499.9, 650.0, 900.0):
         for a, b in zip(shared.nodes, per_node.nodes):
             assert a.peers_for(INFOHASH, now) == b.peers_for(INFOHASH, now)
-            assert a.stored_intervals(INFOHASH) == b.stored_intervals(INFOHASH)
+            assert stored_intervals(a, INFOHASH) == stored_intervals(b, INFOHASH)
 
 
 def test_announce_session_shares_one_frozen_peer():
@@ -208,7 +209,7 @@ def test_zero_length_session_counts_but_is_not_stored():
     network = build_network()
     assert network.announce_session(INFOHASH, ip=9, port=1, start=5.0, end=5.0) == K
     assert network.metrics.counter("dht.announces_stored").total() == K
-    assert all(node.stored_intervals(INFOHASH) == 0 for node in network.nodes)
+    assert all(stored_intervals(node, INFOHASH) == 0 for node in network.nodes)
 
 
 @pytest.mark.parametrize("infohash", [b"", b"\x01" * 19, b"\x01" * 21])

@@ -23,6 +23,7 @@ from repro.dht import krpc
 from repro.dht.network import BOOTSTRAP_COUNT, NUM_NODES
 from repro.dht.routing import K
 from repro.observability import MetricsRegistry
+from tests.dht_oracles import bucket_sizes, stored_intervals
 
 INFOHASH = b"\x77" * 20
 
@@ -71,14 +72,14 @@ class TestBuild:
         for node in network.nodes:
             # Far buckets saturate at K; every node knows somebody.
             assert 0 < len(node.table) < NUM_NODES - 1
-            assert all(size <= K for size in node.table.bucket_sizes().values())
+            assert all(size <= K for size in bucket_sizes(node.table).values())
 
     def test_bootstrap_ips(self):
         network = build_network()
         ips = network.bootstrap_ips()
         assert len(ips) == BOOTSTRAP_COUNT == 3
         for ip in ips:
-            assert network.node_at(ip) is not None
+            assert ip in {node.ip for node in network.nodes}
 
 
 class TestDataPlane:
@@ -122,9 +123,9 @@ class TestBatchPlane:
             network.nodes, key=lambda n: xor_distance(n.node_id, target)
         )
         for node in ranked[:K]:
-            assert node.stored_intervals(INFOHASH) == 1
+            assert stored_intervals(node, INFOHASH) == 1
         for node in ranked[K:]:
-            assert node.stored_intervals(INFOHASH) == 0
+            assert stored_intervals(node, INFOHASH) == 0
 
 
 class TestIterativeLookup:
@@ -141,7 +142,7 @@ class TestIterativeLookup:
                 seed_from=0.0 if i == 0 else None,
             )
         result = self._crawler(network).lookup(INFOHASH, now=50.0)
-        assert result.found_peers
+        assert result.peers
         assert sorted(result.peer_ips) == [1000, 1001, 1002, 1003, 1004]
         assert (result.seeders, result.leechers) == (1, 4)
         assert result.total_peers == 5
@@ -153,9 +154,9 @@ class TestIterativeLookup:
         network = build_network()
         network.announce_session(INFOHASH, ip=5, port=1, start=100.0, end=200.0)
         crawler = self._crawler(network)
-        assert not crawler.lookup(INFOHASH, now=50.0).found_peers
-        assert crawler.lookup(INFOHASH, now=150.0).found_peers
-        assert not crawler.lookup(INFOHASH, now=250.0).found_peers
+        assert not crawler.lookup(INFOHASH, now=50.0).peers
+        assert crawler.lookup(INFOHASH, now=150.0).peers
+        assert not crawler.lookup(INFOHASH, now=250.0).peers
 
     def test_lookup_deterministic_per_seed(self):
         def run(seed):
@@ -176,7 +177,7 @@ class TestIterativeLookup:
         # judge over several: replication across k nodes must make the
         # channel usable despite 30% loss.
         found = sum(
-            crawler.lookup(INFOHASH, now=10.0).found_peers for _ in range(10)
+            bool(crawler.lookup(INFOHASH, now=10.0).peers) for _ in range(10)
         )
         assert found >= 5
         messages = network.metrics.counter("dht.messages")
@@ -223,12 +224,13 @@ class TestMalformedReplies:
                 INFOHASH, ip=1000 + i, port=6881, start=0.0, end=500.0
             )
         target_ip = network.bootstrap_ips()[0]
+        target = next(node for node in network.nodes if node.ip == target_ip)
         send = network.send
 
         def patched(dest_ip, raw, sender_ip, sender_port, now):
             if dest_ip != target_ip:
                 return send(dest_ip, raw, sender_ip, sender_port, now)
-            return bootstrap_reply(raw, network.node_at(dest_ip))
+            return bootstrap_reply(raw, target)
 
         network.send = patched
         crawler = DhtCrawler(network, random.Random(21), metrics=MetricsRegistry())
@@ -245,7 +247,7 @@ class TestMalformedReplies:
 
     def test_undecodable_replies_count_as_unanswered(self):
         unroutable = self._lookup(lambda raw, node: None)
-        assert unroutable.found_peers
+        assert unroutable.peers
         assert self._lookup(lambda raw, node: b"not bencode") == unroutable
         assert self._lookup(self._ragged_values) == unroutable
 

@@ -28,6 +28,7 @@ from repro.dht.routing import (
     derive_node_id,
     node_id_to_bytes,
 )
+from tests.dht_oracles import stored_intervals
 
 CLIENT_ID = node_id_to_bytes(derive_node_id("client"))
 CLIENT_IP = 0x0A420001
@@ -76,7 +77,7 @@ class TestPeerStore:
         assert node.peers_for(INFOHASH, 4.0) == []
         assert len(node.peers_for(INFOHASH, 10.0)) == 1
         assert node.peers_for(INFOHASH, 15.0) == []
-        assert node.stored_intervals(INFOHASH) == 1
+        assert stored_intervals(node, INFOHASH) == 1
 
     def test_active_peers_keep_store_order(self):
         """get_peers samples from this list, so its order is part of the
@@ -90,7 +91,7 @@ class TestPeerStore:
     def test_zero_length_sessions_dropped(self):
         node = make_node()
         node.store_announce(INFOHASH, ip=7, port=100, start=5.0, end=5.0)
-        assert node.stored_intervals(INFOHASH) == 0
+        assert stored_intervals(node, INFOHASH) == 0
 
     def test_bad_infohash_rejected(self):
         with pytest.raises(ValueError):

@@ -98,9 +98,14 @@ class TestHybridParity:
 
 
 class TestDhtDeterminism:
+    # Three campaigns in all: two independent seed-29 runs, the first shared
+    # by both tests, and one seed-30 run.  A short window keeps them cheap;
+    # determinism does not need a long horizon.
+    @pytest.fixture(scope="class")
+    def seed29_snapshot(self):
+        return self._dht_snapshot(29)
+
     def _dht_snapshot(self, seed):
-        # A short window keeps the three campaigns this class runs cheap;
-        # determinism does not need a long horizon.
         config = dataclasses.replace(
             trackerless_scenario(scale=0.1),
             window_days=2.0,
@@ -111,14 +116,14 @@ class TestDhtDeterminism:
         snapshot = registry.snapshot(include_wall=False)
         return {k: v for k, v in snapshot.items() if k.startswith("dht.")}
 
-    def test_same_seed_identical_dht_metrics(self):
-        first = self._dht_snapshot(29)
+    def test_same_seed_identical_dht_metrics(self, seed29_snapshot):
+        first = seed29_snapshot
         second = self._dht_snapshot(29)
         assert first  # the channel actually emitted telemetry
         assert first == second
 
-    def test_different_seed_differs(self):
-        assert self._dht_snapshot(29) != self._dht_snapshot(30)
+    def test_different_seed_differs(self, seed29_snapshot):
+        assert seed29_snapshot != self._dht_snapshot(30)
 
 
 class TestCliDiscovery:

@@ -57,7 +57,7 @@ class TestTrackerOverload:
         tracker = self._tracker(1.0 - 1e-9)
         for i in range(20):
             tracker.announce(AnnounceRequest(infohash=IH, client_ip=7), float(i))
-        assert not tracker.is_blacklisted(7)
+        assert tracker.metrics.counter("tracker.clients_blacklisted").value() == 0
 
     def test_zero_probability_never_fails(self):
         tracker = self._tracker(0.0)

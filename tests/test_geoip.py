@@ -87,8 +87,9 @@ class TestAddressPlan:
         plan = self._plan()
         db = plan.build_database()
         rng = random.Random(4)
-        assert db.lookup(plan.mint_address(rng, "OVH")).is_hosting
-        assert not db.lookup(plan.mint_address(rng, "Comcast")).is_hosting
+        hosting = IspKind.HOSTING_PROVIDER
+        assert db.lookup(plan.mint_address(rng, "OVH")).kind is hosting
+        assert db.lookup(plan.mint_address(rng, "Comcast")).kind is not hosting
 
     def test_prefix_pinned_mint(self):
         plan = self._plan()

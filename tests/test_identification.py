@@ -49,7 +49,6 @@ class TestIdentifyPublisher:
         )
         assert result.outcome is IdentificationOutcome.IP_IDENTIFIED
         assert result.publisher_ip == 100
-        assert result.is_final
 
     def test_natted_publisher(self):
         swarm = make_swarm(publisher_natted=True)
@@ -58,7 +57,6 @@ class TestIdentifyPublisher:
         )
         assert result.outcome is IdentificationOutcome.NAT_UNREACHABLE
         assert result.publisher_ip is None
-        assert result.is_final
 
     def test_multiple_seeders(self):
         swarm = make_swarm(extra_seeder=True)
@@ -83,7 +81,6 @@ class TestIdentifyPublisher:
             response_for(swarm), BitfieldProber(swarm, 8, PEER_ID), 10.0
         )
         assert result.outcome is IdentificationOutcome.NO_SEEDER
-        assert not result.is_final
 
     def test_probe_threshold_boundary(self):
         """Exactly max_probe_peers participants -> too many (strict <)."""

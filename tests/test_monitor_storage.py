@@ -35,6 +35,14 @@ GEOIP = ArchivedGeoIp(
 )
 
 
+def publications_by_username(store, username):
+    return store._publications("WHERE t.username = ?", (username,))
+
+
+def count_publications(store):
+    return store._conn.execute("SELECT COUNT(*) FROM torrents").fetchone()[0]
+
+
 @pytest.fixture(scope="module")
 def monitor_run(tmp_path_factory):
     """The monitor writing its database to a file."""
@@ -68,9 +76,9 @@ class TestStore:
             store.add_record(self._record(1), GEOIP)
             store.add_record(self._record(2), GEOIP)
             store.add_record(self._record(3, username="bob"), GEOIP)
-            rows = store.publications_by_username("alice")
+            rows = publications_by_username(store, "alice")
             assert [r.torrent_id for r in rows] == [1, 2]
-            assert store.count_publications() == 3
+            assert count_publications(store) == 3
             row = rows[0]
             assert (row.title, row.category, row.publisher_ip) == (
                 "t1", "Video/Movies", "1.2.3.4"
@@ -83,14 +91,14 @@ class TestStore:
         with CampaignArchive() as store:
             store.add_record(self._record(1), GEOIP)
             store.add_record(self._record(1, username="bob"), GEOIP)
-            assert store.count_publications() == 1
+            assert count_publications(store) == 1
             assert store.top_publishers() == [("bob", 1)]
 
     def test_unlocated_publisher_has_no_geoip(self):
         with CampaignArchive() as store:
             store.add_record(self._record(1, ip=None), GEOIP)
             store.add_record(self._record(2, ip=parse_ip("8.8.8.8")), GEOIP)
-            rows = store.publications_by_username("alice")
+            rows = publications_by_username(store, "alice")
             assert [r.publisher_ip for r in rows] == [None, "8.8.8.8"]
             assert [r.isp for r in rows] == [None, None]
             assert store.isp_breakdown() == []
@@ -131,7 +139,7 @@ class TestStore:
         with CampaignArchive() as store:
             for tid in (3, 1, 2):
                 store.add_record(self._record(tid), GEOIP)
-            rows = store.publications_by_username("alice")
+            rows = publications_by_username(store, "alice")
             assert [r.torrent_id for r in rows] == [1, 2, 3]
 
     def test_top_publishers_ranking(self):
@@ -196,7 +204,7 @@ class TestMonitor:
     def test_ingests_every_publication(self, monitor_run):
         world, monitor, _path = monitor_run
         assert monitor.publications_seen == world.portal.num_items
-        assert monitor.store.count_publications() == world.portal.num_items
+        assert count_publications(monitor.store) == world.portal.num_items
 
     def test_locates_a_good_fraction_of_publishers(self, monitor_run):
         _world, monitor, _path = monitor_run
@@ -207,7 +215,7 @@ class TestMonitor:
         enriched = [
             row
             for username, _count in monitor.store.top_publishers(limit=50)
-            for row in monitor.store.publications_by_username(username)
+            for row in publications_by_username(monitor.store, username)
             if row.isp is not None
         ]
         assert enriched
@@ -226,12 +234,6 @@ class TestMonitor:
         top = monitor.store.top_publishers(limit=1)[0][0]
         monitor.flag_fake(top, note="test flag")
         assert top in monitor.store.fake_usernames()
-
-    def test_annotate_profit_driven(self, monitor_run):
-        _world, monitor, _path = monitor_run
-        monitor.annotate_profit_driven("somebody", "example.com", "forum")
-        row = monitor.store.publisher("somebody")
-        assert row.profit_driven and row.promoted_url == "example.com"
 
     def test_poll_interval_validation(self, monitor_run):
         world, _monitor, _path = monitor_run

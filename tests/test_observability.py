@@ -176,8 +176,8 @@ class TestSnapshot:
 
     def test_instrument_names_filter(self):
         registry = self._populated()
-        assert registry.instrument_names() == ["c", "g", "h", "w"]
-        assert registry.instrument_names(include_wall=False) == ["c", "g", "h"]
+        assert sorted(registry.snapshot()) == ["c", "g", "h", "w"]
+        assert sorted(registry.snapshot(include_wall=False)) == ["c", "g", "h"]
 
     def test_clear(self):
         registry = self._populated()

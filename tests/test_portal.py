@@ -135,12 +135,10 @@ class TestPortal:
         portal.ban_account("alice", 100.0)
         # Before removal: visible.
         assert portal.get_torrent_file(tid, 50.0) is not None
-        assert not portal.is_removed(tid, 50.0)
         assert portal.user_page("alice", 50.0) is not None
         # After removal: gone.
         assert portal.get_torrent_file(tid, 100.0) is None
         assert portal.content_page(tid, 100.0) is None
-        assert portal.is_removed(tid, 100.0)
         assert portal.user_page("alice", 100.0) is None
 
     def test_banned_account_cannot_publish_again(self, portal):

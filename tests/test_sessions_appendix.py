@@ -58,11 +58,29 @@ class TestEquationOne:
         with pytest.raises(ValueError):
             offline_threshold(100, 50, 0.0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: required_queries(50, 0),
+            lambda: required_queries(0, 50),
+            lambda: required_queries(-3, 50),
+            lambda: offline_threshold(165, 50, float("nan")),
+        ],
+        ids=["w=0", "n=0", "n=-3", "spacing=nan"],
+    )
+    def test_impossible_inputs_rejected(self, call):
+        """No swarm has fewer than one peer or a reply of fewer than one,
+        and a NaN spacing is no spacing: each raises ValueError, as
+        detection_probability does, instead of dividing by zero or
+        returning a number."""
+        with pytest.raises(ValueError):
+            call()
+
 
 class TestDerivedInputs:
     def test_query_spacing_percentile(self):
         times = [0, 10, 20, 30, 40, 100]  # one large gap
-        spacing = estimate_query_spacing(times, pct=90)
+        spacing = estimate_query_spacing(times)
         assert 10 <= spacing <= 60
 
     def test_query_spacing_needs_two(self):
@@ -70,8 +88,8 @@ class TestDerivedInputs:
             estimate_query_spacing([5.0])
 
     def test_population_bound(self):
-        assert population_bound([10] * 9 + [1000], pct=90) >= 10
-        assert population_bound([165], pct=90) == 165
+        assert population_bound([10] * 9 + [1000]) >= 10
+        assert population_bound([165]) == 165
 
     def test_population_bound_empty(self):
         with pytest.raises(ValueError):
@@ -91,7 +109,7 @@ class TestReconstruction:
         assert estimate.sessions[1] == (500, 510)
 
     def test_isolated_sighting_counts_min_session(self):
-        estimate = reconstruct_sessions([42.0], threshold=60, min_session=10)
+        estimate = reconstruct_sessions([42.0], threshold=60)
         assert estimate.num_sessions == 1
         assert estimate.total_time == 10
 

@@ -90,22 +90,6 @@ class TestScheduler:
         scheduler.run_until(10.0)
         assert scheduler.events_run == 5
 
-    def test_run_all_with_cap(self):
-        scheduler = EventScheduler(metrics=MetricsRegistry())
-
-        def forever():
-            scheduler.schedule_after(1.0, forever)
-
-        scheduler.schedule(0.0, forever)
-        with pytest.raises(RuntimeError, match="max_events"):
-            scheduler.run_all(max_events=100)
-
-    def test_peek_time(self):
-        scheduler = EventScheduler(metrics=MetricsRegistry())
-        assert scheduler.peek_time() is None
-        scheduler.schedule(3.0, lambda: None)
-        assert scheduler.peek_time() == 3.0
-
 
 class TestNonFiniteTimes:
     """NaN compares false against everything, so without an explicit guard

@@ -13,12 +13,6 @@ class TestSeedForMetric:
         assert seed_for_metric("coverage") == seed_for_metric("coverage")
         assert seed_for_metric("coverage") != seed_for_metric("precision")
 
-    def test_base_offsets(self):
-        assert (
-            seed_for_metric("coverage", base=1)
-            != seed_for_metric("coverage", base=0)
-        )
-
 
 class TestBootstrapCi:
     def test_same_seed_same_interval(self):

@@ -24,8 +24,9 @@ class TestFormatNumberEdges:
         assert format_number(0) == "0"
 
     def test_precision(self):
-        assert format_number(1234, precision=0) == "1K"
-        assert format_number(1_234_567, precision=1) == "1.2M"
+        assert format_number(1234) == "1.23K"
+        assert format_number(1_234_567) == "1.23M"
+        assert format_number(0.5) == "0.50"
 
     def test_boundaries(self):
         assert format_number(999) == "999"

@@ -23,21 +23,22 @@ def make_swarm(sessions):
     return swarm
 
 
+def is_seeder_at(session, t):
+    """Seeder status at time ``t`` (only meaningful while present)."""
+    return session.complete_time is not None and t >= session.complete_time
+
+
 class TestPeerSession:
     def test_basic_fields(self):
         s = PeerSession(ip=1, join_time=0, leave_time=10, complete_time=5)
         assert s.duration == 10
-        assert not s.is_seeder_at(4)
-        assert s.is_seeder_at(5)
 
     def test_seeder_from_start(self):
         s = PeerSession(ip=1, join_time=2, leave_time=8, complete_time=2)
-        assert s.is_seeder_at(2)
         assert s.progress_at(2) == 1.0
 
     def test_never_completes(self):
         s = PeerSession(ip=1, join_time=0, leave_time=100)
-        assert not s.is_seeder_at(50)
         assert s.progress_at(50) < 1.0
         assert s.progress_at(100) <= 0.99
 
@@ -191,21 +192,8 @@ class TestSwarmGroundTruth:
             snap = swarm.query(float(t), 10_000, rng)
             truth = reference.sessions_at(float(t))
             assert snap.size == len(truth)
-            expected_seeders = sum(1 for s in truth if s.is_seeder_at(float(t)))
+            expected_seeders = sum(1 for s in truth if is_seeder_at(s, float(t)))
             assert snap.num_seeders == expected_seeders
-
-    def test_end_of_life(self):
-        swarm = make_swarm([PeerSession(ip=1, join_time=0, leave_time=42)])
-        assert swarm.end_of_life() == 42
-
-    def test_peak_population(self):
-        swarm = make_swarm(
-            [
-                PeerSession(ip=1, join_time=0, leave_time=300),
-                PeerSession(ip=2, join_time=60, leave_time=300),
-            ]
-        )
-        assert swarm.peak_population(resolution=30.0) == 2
 
 
 class TestChurn:
@@ -314,7 +302,7 @@ class TestSwarmHypothesis:
                 truth = slow.sessions_at(float(t))
                 assert snap.size == len(truth)
                 assert snap.num_seeders == sum(
-                    1 for s in truth if s.is_seeder_at(float(t))
+                    1 for s in truth if is_seeder_at(s, float(t))
                 )
 
         check()

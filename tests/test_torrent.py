@@ -29,7 +29,7 @@ class TestBuildParse:
         assert meta.announce == ANNOUNCE
         assert meta.name == "My.Release.2010"
         assert meta.total_length == 700_000_000
-        assert not meta.is_multi_file
+        assert len(meta.files) == 1
         assert meta.files == [TorrentFile("My.Release.2010", 700_000_000)]
 
     def test_num_pieces_matches_size(self):
@@ -60,7 +60,7 @@ class TestBuildParse:
         meta = parse_torrent(
             build_torrent(ANNOUNCE, "Movie", 100_000, extra_files=extra)
         )
-        assert meta.is_multi_file
+        assert len(meta.files) == 2
         assert meta.total_length == 101_000
         assert [f.path for f in meta.files] == [
             "Movie",
@@ -72,11 +72,6 @@ class TestBuildParse:
             build_torrent(ANNOUNCE, "x", 1_000, comment="visit example.com")
         )
         assert meta.comment == "visit example.com"
-
-    def test_infohash_hex(self):
-        meta = parse_torrent(build_torrent(ANNOUNCE, "x", 1_000))
-        assert meta.infohash_hex == meta.infohash.hex()
-        assert len(meta.infohash) == 20
 
 
 class TestValidation:

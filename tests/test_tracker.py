@@ -180,9 +180,10 @@ class TestTrackerServer:
         tracker.announce(req, 0.0)
         for i in range(BLACKLIST_THRESHOLD - 1):
             tracker.announce(req, 0.1 + i * 0.01)
-        assert not tracker.is_blacklisted(CLIENT)
+        blacklisted = tracker.metrics.counter("tracker.clients_blacklisted")
+        assert blacklisted.value() == 0
         tracker.announce(req, 0.5)
-        assert tracker.is_blacklisted(CLIENT)
+        assert blacklisted.value() == 1
         with pytest.raises(TrackerError, match="banned"):
             decode_announce_response(tracker.announce(req, 100.0))
 

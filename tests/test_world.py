@@ -34,7 +34,7 @@ class TestWorldBuild:
         assert world.portal.num_items == len(world.truth.torrents)
         assert world.tracker.num_swarms == len(world.truth.torrents)
         for truth in world.truth.torrents[:50]:
-            assert world.tracker.has_swarm(truth.infohash)
+            assert world.tracker.swarm(truth.infohash).infohash == truth.infohash
 
     def test_torrent_files_parse_and_match_truth(self, world):
         for truth in world.truth.torrents[:50]:
@@ -49,7 +49,7 @@ class TestWorldBuild:
             assert 0.0 <= truth.publish_time < window
 
     def test_rss_time_ordered_and_complete(self, world):
-        entries = world.portal.feed.all_entries()
+        entries = world.portal.feed._entries
         assert len(entries) == len(world.truth.torrents)
         times = [e.published_time for e in entries]
         assert times == sorted(times)
@@ -61,14 +61,14 @@ class TestWorldBuild:
         for truth in fakes:
             assert truth.removal_time is not None
             assert truth.removal_time > truth.publish_time
-            assert world.portal.is_removed(truth.torrent_id, horizon)
+            assert world.portal.content_page(truth.torrent_id, horizon) is None
             assert world.portal.user_page(truth.username, horizon) is None
 
     def test_real_torrents_not_removed(self, world):
         horizon = world.config.horizon_minutes
         for truth in world.truth.torrents:
             if not truth.is_fake:
-                assert not world.portal.is_removed(truth.torrent_id, horizon)
+                assert world.portal.content_page(truth.torrent_id, horizon) is not None
 
     def test_fake_publishers_rotate_usernames(self, world):
         fakes = [t for t in world.truth.torrents if t.is_fake]
@@ -131,17 +131,12 @@ class TestWorldBuild:
         assert 0.15 < regular / total < 0.60
 
     def test_account_histories_seeded_for_tops(self, world):
-        for agent in world.population.top_agents:
+        for agent in (a for a in world.population.agents if a.is_top):
             account = world.portal.accounts.get(agent.username)
             if account is None:
                 continue  # published nothing in this tiny window
             assert account.historical_count > 0
             assert account.created_time < 0
-
-    def test_num_pieces_accessor(self, world):
-        truth = world.truth.torrents[0]
-        raw = world.portal.get_torrent_file(truth.torrent_id, truth.publish_time)
-        assert world.num_pieces_for(truth.torrent_id) == parse_torrent(raw).num_pieces
 
     def test_seederless_fraction_in_configured_band(self, world):
         """NO_SEEDER_FRACTION + fake stealth both produce seederless births."""
