@@ -100,24 +100,12 @@ def test_bench_tracker_announce(benchmark):
 
 
 def test_bench_piece_derivation_cold(benchmark):
-    """Full piece-hash derivation for a 700 MB torrent, LRU cleared."""
+    """Full piece-hash derivation for a 700 MB torrent."""
     def derive():
         return _derive_pieces("Some.Release.2010", 700_000_000, 256 * 1024)
 
-    pieces = benchmark.pedantic(
-        derive, setup=_derive_pieces.cache_clear, rounds=3, iterations=1
-    )
+    pieces = benchmark.pedantic(derive, rounds=3, iterations=1)
     assert len(pieces) == 20 * -(-700_000_000 // (256 * 1024))
-
-
-def test_bench_piece_derivation_warm(benchmark):
-    """Same derivation with a warm LRU (what sweep/golden reruns pay)."""
-    _derive_pieces.cache_clear()
-    _derive_pieces("Some.Release.2010", 700_000_000, 256 * 1024)
-    pieces = benchmark(
-        _derive_pieces, "Some.Release.2010", 700_000_000, 256 * 1024
-    )
-    assert len(pieces) > 0
 
 
 def test_bench_announce_codec_roundtrip(benchmark):

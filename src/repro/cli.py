@@ -105,6 +105,14 @@ def _positive_float(value: str) -> float:
     return number
 
 
+def _nonnegative_float(value: str) -> float:
+    """Argparse type for a finite number >= 0."""
+    number = _number(value)
+    if not (math.isfinite(number) and number >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {value!r}")
+    return number
+
+
 def _fraction(value: str) -> float:
     """Argparse type for a fraction in [0, 1]."""
     number = _number(value)
@@ -379,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="explicit comma-separated seed list (overrides --seeds)",
     )
     sweep_parser.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_positive_int, default=1,
         help="worker processes; 1 runs serially in-process (default 1)",
     )
     sweep_parser.add_argument("--scale", type=_positive_float, default=1.0,
@@ -393,11 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--top-k", type=int, default=20,
                               help="size of the Top publisher set (default 20)")
     sweep_parser.add_argument(
-        "--window-days", type=float, default=None,
+        "--window-days", type=_positive_float, default=None,
         help="override the scenario's measurement window length",
     )
     sweep_parser.add_argument(
-        "--post-window-days", type=float, default=None,
+        "--post-window-days", type=_nonnegative_float, default=None,
         help="override the scenario's post-window monitoring tail",
     )
     sweep_parser.add_argument(

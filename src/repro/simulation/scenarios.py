@@ -18,6 +18,7 @@ the paper's structure at a fraction of the cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -81,7 +82,7 @@ class ScenarioConfig:
     # registry passed to World.build / run_measurement, never to the config.
 
     def __post_init__(self) -> None:
-        if self.window_days <= 0 or self.post_window_days < 0:
+        if not (0 < self.window_days < math.inf and 0 <= self.post_window_days < math.inf):
             raise ValueError("bad window configuration")
         if not 0 <= self.prepublished_fraction <= 1:
             raise ValueError("prepublished_fraction must be in [0, 1]")

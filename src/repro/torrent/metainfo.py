@@ -27,7 +27,6 @@ import os
 import signal
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Union
 
 from repro.bencode import BencodeError, bdecode, bencode
@@ -78,14 +77,6 @@ def piece_payload(name: str, index: int) -> bytes:
     repeats = -(-PIECE_PAYLOAD_BYTES // len(seed))
     return (seed * repeats)[:PIECE_PAYLOAD_BYTES]
 
-
-# Derived `pieces` blobs are pure functions of (name, total_length,
-# piece_length), and the same torrents get rebuilt constantly -- golden
-# regression runs, sweep reruns of a pinned cell, test fixtures.  A
-# process-local LRU makes every rebuild free.  512 entries bound memory at
-# roughly 50 MB worst case (20 bytes per piece; a 4 GB torrent holds 320 KB
-# of hashes).
-_PIECES_CACHE_SIZE = 512
 
 # Split a torrent's pieces between this process and the helper only when
 # each half's hashing dwarfs the pipe round trip.  On an idle 2-vCPU VM
@@ -206,7 +197,6 @@ def _forget_helper_after_fork() -> None:
 os.register_at_fork(after_in_child=_forget_helper_after_fork)
 
 
-@lru_cache(maxsize=_PIECES_CACHE_SIZE)
 def _derive_pieces(name: str, total_length: int, piece_length: int) -> bytes:
     """Piece hashes: SHA-1 over each piece's canonical stand-in payload.
 

@@ -62,6 +62,14 @@ class TestParser:
             ["appendix", "--confidence", "1.5"],
             ["appendix", "--spacing", "nan"],
             ["appendix", "--n", "-3"],
+            ["sweep", "--window-days", "nan"],
+            ["sweep", "--window-days", "0"],
+            ["sweep", "--window-days", "inf"],
+            ["sweep", "--post-window-days", "nan"],
+            ["sweep", "--post-window-days", "-1"],
+            ["sweep", "--post-window-days", "inf"],
+            ["sweep", "--jobs", "0"],
+            ["sweep", "--jobs", "-2"],
         ],
         ids=" ".join,
     )
@@ -72,6 +80,13 @@ class TestParser:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+
+    def test_sweep_accepts_edge_values(self):
+        args = build_parser().parse_args(
+            ["sweep", "--window-days", "0.5", "--post-window-days", "0",
+             "--jobs", "1"])
+        assert (args.window_days, args.post_window_days, args.jobs) == (0.5, 0.0, 1)
 
 
 class TestCommands:

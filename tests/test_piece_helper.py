@@ -79,14 +79,12 @@ class TestSplitBytes:
         "num_pieces", [1, SPLIT - 1, SPLIT, SPLIT + 1, 2 * SPLIT + 1, 27_011]
     )
     def test_equals_reference_formula(self, num_pieces):
-        _derive_pieces.cache_clear()
         name = f"Split.Check.{num_pieces}"
         pieces = _derive_pieces(name, num_pieces * 256 * 1024, 256 * 1024)
         assert pieces == reference_pieces(name, num_pieces)
 
     @needs_helper
     def test_large_torrent_uses_the_helper(self):
-        _derive_pieces.cache_clear()
         _derive_pieces("Uses.Helper", SPLIT, 1)
         assert metainfo._helper and metainfo._helper.process.is_alive()
 
@@ -106,7 +104,6 @@ class TestNoHelper:
             monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                                 lambda: ["spawn"])
         monkeypatch.setattr(metainfo, "_helper", None)
-        _derive_pieces.cache_clear()
         pieces = _derive_pieces("Serial.Only", 2 * SPLIT, 1)
         assert metainfo._helper is False
         assert pieces == reference_pieces("Serial.Only", 2 * SPLIT)
@@ -124,7 +121,6 @@ class TestNoHelper:
             return allowed
 
         monkeypatch.setattr(metainfo, "_may_start_helper", recorded)
-        _derive_pieces.cache_clear()
         spec = SweepSpec(scenarios=("baseline",), seeds=(11, 12),
                          window_days=2.0, post_window_days=2.0)
         run_sweep(spec, jobs=2)
@@ -145,7 +141,6 @@ class TestHelperLifecycle:
             helper = m._helper.process
             os.kill(helper.pid, signal.SIGKILL)
             helper.join()
-            m._derive_pieces.cache_clear()
             assert m._derive_pieces("a", n, 1) == first == m._hash_pieces("a", 0, n)
             assert m._derive_pieces("b", n, 1) == m._hash_pieces("b", 0, n)
             assert m._helper is False

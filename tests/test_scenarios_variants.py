@@ -11,6 +11,7 @@ from repro.core.analysis.mapping import analyze_mapping
 from repro.core.collector import run_measurement
 from repro.simulation import (
     CrawlerSettings,
+    build_scenario,
     mn08_scenario,
     pb09_scenario,
     pb10_scenario,
@@ -78,6 +79,15 @@ class TestScenarioFactories:
             CrawlerSettings(vantage_count=0)
         with pytest.raises(ValueError):
             CrawlerSettings(rss_poll_interval=0)
+
+    @pytest.mark.parametrize("window_days,post_window_days", [
+        (float("nan"), 1.0), (float("inf"), 1.0), (1.0, float("nan")),
+        (1.0, float("inf")), (1.0, -1.0),
+    ])
+    def test_non_finite_windows_rejected(self, window_days, post_window_days):
+        with pytest.raises(ValueError, match="bad window configuration"):
+            build_scenario("baseline", window_days=window_days,
+                           post_window_days=post_window_days)
 
     def test_scenario_properties(self):
         config = tiny_scenario()
