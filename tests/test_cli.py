@@ -81,7 +81,6 @@ class TestParser:
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
 
-
     def test_sweep_accepts_edge_values(self):
         args = build_parser().parse_args(
             ["sweep", "--window-days", "0.5", "--post-window-days", "0",
