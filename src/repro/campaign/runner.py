@@ -18,7 +18,6 @@ byte-identical JSON (a regression test holds this).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
@@ -261,6 +260,9 @@ def run_sweep(
         if jobs <= 1:
             finished = map(run_campaign_cell, cells)
         else:
+            # Imported here: serial sweeps and `import repro` load no pool.
+            from concurrent.futures import ProcessPoolExecutor, as_completed
+
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
             futures = [pool.submit(run_campaign_cell, cell) for cell in cells]
             finished = (future.result() for future in as_completed(futures))

@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser = sub.add_parser("report", help="run a campaign and print "
                                    "the full analysis report")
     _add_scenario_options(report_parser)
-    report_parser.add_argument("--top-k", type=int, default=40)
+    report_parser.add_argument("--top-k", type=_positive_int, default=40)
     report_parser.set_defaults(func=_cmd_report)
 
     metrics_parser = sub.add_parser(
@@ -398,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--discovery", choices=DISCOVERY_MODES, default=None,
         help="peer-discovery channel override for every cell",
     )
-    sweep_parser.add_argument("--top-k", type=int, default=20,
+    sweep_parser.add_argument("--top-k", type=_positive_int, default=20,
                               help="size of the Top publisher set (default 20)")
     sweep_parser.add_argument(
         "--window-days", type=_positive_float, default=None,

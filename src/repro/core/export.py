@@ -27,6 +27,9 @@ world's, or run analyses that do not need them).  The archive stores enough
 GeoIP material (an IP -> ISP/kind/country/city table for every observed
 publisher IP) to keep the ISP analyses working standalone via
 :class:`ArchivedGeoIp`.
+
+``sqlite3`` is imported where a connection opens, so a process that never
+touches a database (``import repro``, a perfbench cell) does not load it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from __future__ import annotations
 import errno
 import json
 import os
-import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -177,6 +179,8 @@ class CampaignArchive:
     """
 
     def __init__(self, path: str = ":memory:") -> None:
+        import sqlite3
+
         self._conn = sqlite3.connect(path)
         self._conn.executescript(_SCHEMA)
 
@@ -403,6 +407,8 @@ def load_dataset(
     """
     if not os.path.exists(path):
         raise FileNotFoundError(errno.ENOENT, "no archive", path)
+    import sqlite3
+
     conn = sqlite3.connect(Path(path).absolute().as_uri() + "?mode=ro", uri=True)
     try:
         meta = dict(conn.execute("SELECT key, value FROM meta").fetchall())

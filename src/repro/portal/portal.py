@@ -49,14 +49,13 @@ class DownloadExperience:
 @dataclass
 class _Item:
     torrent_id: int
-    torrent_bytes: bytes
+    torrent_bytes: Optional[bytes]  # None: magnet-only, no .torrent served
     page: ContentPage
     is_fake: bool
     payload_kind: str
     bundled_file_names: Tuple[str, ...]
     removal_time: Optional[float] = None
     magnet_uri: Optional[str] = None
-    magnet_only: bool = False  # no .torrent served; DHT is the only way in
 
 
 class Portal:
@@ -86,16 +85,19 @@ class Portal:
         size_bytes: int,
         username: str,
         description: str,
-        torrent_bytes: bytes,
+        torrent_bytes: Optional[bytes],
         is_fake: bool = False,
         payload_kind: str = "content",
         bundled_file_names: Tuple[str, ...] = (),
         account_created_time: Optional[float] = None,
         magnet_uri: Optional[str] = None,
-        magnet_only: bool = False,
     ) -> int:
-        """Index a new torrent; returns its portal id."""
-        if magnet_only and magnet_uri is None:
+        """Index a new torrent; returns its portal id.
+
+        ``torrent_bytes=None`` publishes a magnet-only item: it serves no
+        .torrent file, so the DHT is the only way in.
+        """
+        if torrent_bytes is None and magnet_uri is None:
             raise ValueError("a magnet-only publication needs a magnet_uri")
         account = self.accounts.get_or_create(
             username,
@@ -123,7 +125,6 @@ class Portal:
             payload_kind=payload_kind,
             bundled_file_names=bundled_file_names,
             magnet_uri=magnet_uri,
-            magnet_only=magnet_only,
         )
         self.feed.publish(
             RssEntry(
@@ -177,7 +178,7 @@ class Portal:
         if not self._visible(item, now):
             self._m_downloads.inc(result="gone")
             return None
-        if item.magnet_only:
+        if item.torrent_bytes is None:
             self._m_downloads.inc(result="magnet_only")
             return None
         self._m_downloads.inc(result="ok")

@@ -438,13 +438,13 @@ class World:
             size_bytes=size,
             username=username,
             description=description,
-            torrent_bytes=torrent_bytes,
+            # A magnet-only portal serves no .torrent file: keep no bytes.
+            torrent_bytes=None if config.magnet_only else torrent_bytes,
             is_fake=is_fake,
             payload_kind=payload_kind,
             bundled_file_names=bundled,
             account_created_time=self._account_created_time(agent),
             magnet_uri=magnet_uri,
-            magnet_only=config.magnet_only,
         )
         self._seed_account_history(agent, username)
 

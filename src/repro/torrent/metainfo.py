@@ -99,18 +99,20 @@ def _hash_pieces(name: str, start: int, stop: int) -> bytes:
     formulation; a regression test holds the equivalence against the
     original implementation.  ``PIECE_PAYLOAD_BYTES`` is a whole number of
     SHA-256 digests, so each payload is its seed repeated, never truncated.
+    The digests go straight into one buffer of 20 bytes per piece, so the
+    peak is that buffer plus the returned copy.
     """
     prefix = hashlib.sha256(name.encode("utf-8") + b"\x00")
     repeats = PIECE_PAYLOAD_BYTES // prefix.digest_size
     sha1 = hashlib.sha1
     copy = prefix.copy
-    digests = []
-    append = digests.append
+    pieces = bytearray()
+    extend = pieces.extend
     for index in range(start, stop):
         h = copy()
         h.update(b"%d" % index)
-        append(sha1(h.digest() * repeats).digest())
-    return b"".join(digests)
+        extend(sha1(h.digest() * repeats).digest())
+    return bytes(pieces)
 
 
 class _Helper(NamedTuple):

@@ -70,6 +70,8 @@ class TestParser:
             ["sweep", "--post-window-days", "inf"],
             ["sweep", "--jobs", "0"],
             ["sweep", "--jobs", "-2"],
+            ["sweep", "--top-k", "0"],
+            ["report", "tiny", "--top-k", "-1"],
         ],
         ids=" ".join,
     )

@@ -101,9 +101,12 @@ class TestPortalMagnetOnly:
     def test_magnet_only_item_serves_magnet_not_torrent(self):
         portal = self._portal()
         uri = build_magnet(INFOHASH, name="some.release")
-        torrent_id = self._publish(portal, magnet_uri=uri, magnet_only=True)
+        torrent_id = self._publish(portal, magnet_uri=uri, torrent_bytes=None)
         assert portal.get_torrent_file(torrent_id, now=2.0) is None
         assert portal.get_magnet(torrent_id, now=2.0) == uri
+        downloads = portal.metrics.counter("portal.torrent_downloads")
+        assert downloads.value(result="magnet_only") == 1
+        assert downloads.value(result="ok") == 0
 
     def test_regular_item_serves_torrent_file(self):
         portal = self._portal()
@@ -114,4 +117,17 @@ class TestPortalMagnetOnly:
     def test_magnet_only_requires_magnet_uri(self):
         portal = self._portal()
         with pytest.raises(ValueError):
-            self._publish(portal, magnet_only=True)
+            self._publish(portal, torrent_bytes=None)
+
+    def test_trackerless_world_keeps_no_torrent_bytes(self):
+        """A magnet-only portal never serves a .torrent, so it holds none."""
+        from repro.simulation import World, build_scenario
+
+        world = World.build(
+            build_scenario("trackerless", scale=0.1), seed=3,
+            metrics=MetricsRegistry(),
+        )
+        items = list(world.portal._items.values())
+        assert items
+        assert all(item.torrent_bytes is None for item in items)
+        assert all(item.magnet_uri is not None for item in items)

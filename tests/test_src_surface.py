@@ -1,4 +1,9 @@
-"""Guard: ``src/repro`` holds no code that only tests use.
+"""Guards on the shape of ``src/repro``.
+
+A bare ``import repro`` loads neither ``sqlite3`` nor the process pool
+(``concurrent.futures``): each loads where it is first used.
+
+``src/repro`` holds no code that only tests use.
 
 Every public function, method and property defined in ``src/repro`` must be
 named in some file under ``src/``, ``examples/``, ``perfbench/`` or
@@ -9,7 +14,10 @@ mention in a comment or an ``__all__`` list counts as a use.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -78,3 +86,17 @@ def test_allowlist_names_still_exist():
     assert ALLOWED_NAMES <= defined
     for module in ALLOWED_MODULES:
         assert (ROOT / module).is_file(), module
+
+
+def test_import_repro_loads_no_sqlite3_or_process_pool():
+    probe = (
+        "import sys, repro; "
+        "print(sorted(m for m in ('sqlite3', 'concurrent.futures') "
+        "if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], cwd=ROOT, env=env,
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"

@@ -297,3 +297,19 @@ class TestPieceDerivation:
         total = sum(len(data) for data in kept)
         assert total > 8 * 1_000 * 20
         assert retained < 1.5 * total
+
+    def test_serial_hashing_fills_one_buffer(self, monkeypatch):
+        # One ~20-byte-per-piece buffer plus the returned copy: about 2x the
+        # result.  A list of per-piece digest objects joined at the end
+        # peaks near 8x.
+        from repro.torrent import metainfo
+
+        monkeypatch.setattr(metainfo, "_helper", False)
+        tracemalloc.start()
+        try:
+            pieces = _derive_pieces("one.buffer", 50_000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pieces) == 50_000 * 20
+        assert peak < 2.5 * len(pieces)
